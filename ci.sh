@@ -25,12 +25,12 @@ else
   export HPC_KERNEL_TIER=vm
 fi
 
-echo "== tier-1: build + test (offline)"
+echo "== tier-1: build + test every workspace crate (offline)"
 cargo build --release --offline
-cargo test -q --offline
+cargo test -q --offline --workspace
 
-echo "== tier-1 tests again with metrics recording on"
-HPC_METRICS=1 cargo test -q --offline
+echo "== workspace tests again with metrics recording on"
+HPC_METRICS=1 cargo test -q --offline --workspace
 
 echo "== kernel plane again with the native tier pinned off"
 # The VM fallback must stay a first-class execution path, not a
@@ -59,9 +59,9 @@ cargo run --release --offline -p bench --bin e19_autotune -- --metrics-json \
 test -s BENCH_e19.json
 
 echo "== E20 kernel-plane gate (jit identity, >=2x vs unfused, wire contract)"
-# Asserts the jitted Expr path is bitwise-equal to the interpreter on 1e6
-# lanes, >= 2x faster than unfused evaluation, and that warm invokes are
-# one sub-100-byte control message per worker.
+# Asserts the jitted Expr path is bitwise-equal to the reference evaluator
+# on 1e6 lanes, >= 2x faster than unfused evaluation, and that warm invokes
+# are one sub-100-byte control message per worker.
 cargo run --release --offline -p bench --bin e20_jit_kernels -- --metrics-json \
   | tail -n 1 > BENCH_e20.json
 test -s BENCH_e20.json
@@ -107,12 +107,12 @@ cargo run --release --offline -p bench --bin e24_program -- --metrics-json \
 test -s BENCH_e24.json
 
 echo "== E25 native-tier gate (cc codegen, parity probe, >=10x vs interpreter)"
-# Asserts the native, VM, and RPN tiers are bitwise-identical on the E20
-# 1e6-lane identity (arrays and fused reductions), that a fused
-# multi-output stencil group matches across tiers, that no parity probe
-# failed, and — when a C compiler is present — that the native tier is
-# >= 10x over the boxed interpreter; prints the compile-cost break-even
-# curve (all asserted in the binary).
+# Asserts the native tier, the VM tier and the reference evaluator are
+# bitwise-identical on the E20 1e6-lane identity (arrays and fused
+# reductions), that a fused multi-output stencil group matches across
+# tiers, that no parity probe failed, and — when a C compiler is present
+# — that the native tier is >= 10x over the boxed interpreter; prints the
+# compile-cost break-even curve (all asserted in the binary).
 cargo run --release --offline -p bench --bin e25_native -- --metrics-json \
   | tail -n 1 > BENCH_e25.json
 test -s BENCH_e25.json

@@ -3,8 +3,9 @@
 //! Three claims from the kernel-plane PR, each checked hard:
 //!
 //! * **identity**: `Expr::eval` (lowered to Seamless bytecode, run by the
-//!   worker VMs) is bitwise-identical to `Expr::eval_rpn` (the
-//!   interpreted fused path) on a 1e6-element expression.
+//!   worker VMs) is bitwise-identical to `Expr::eval_rpn` (the reference
+//!   evaluator, an independent per-element tree walk) on a 1e6-element
+//!   expression.
 //! * **speed**: the jitted single-pass evaluation beats the unfused path
 //!   (one broadcast + one materialized temporary per AST node) by >= 2x.
 //! * **wire contract**: a kernel's bytecode crosses the wire exactly once
@@ -42,27 +43,27 @@ fn main() {
         "Seamless-JIT kernel plane for ODIN expressions",
         "lazy expressions lower to Seamless bytecode that ships to each \
          worker once and runs unboxed; the jitted pass is bitwise-equal \
-         to the interpreter and >= 2x faster than unfused evaluation",
+         to the reference evaluator and >= 2x faster than unfused evaluation",
     );
     let ctx = OdinContext::with_workers(WORKERS);
     let x = ctx.linspace(0.0, 1.0, N);
     let y = ctx.linspace(1.0, 3.0, N);
     let ops = probe(&x, &y).n_ops();
 
-    // ---- identity: jit vs interpreted RPN, bit for bit -------------------
+    // ---- identity: jit vs the reference evaluator, bit for bit ----------
     let jit = probe(&x, &y).eval();
-    let rpn = probe(&x, &y).eval_rpn();
-    let (jv, rv) = (jit.to_vec(), rpn.to_vec());
+    let reference = probe(&x, &y).eval_rpn();
+    let (jv, rv) = (jit.to_vec(), reference.to_vec());
     for i in 0..N {
         assert_eq!(
             jv[i].to_bits(),
             rv[i].to_bits(),
-            "jit and interpreter diverged at lane {i}: {} vs {}",
+            "jit and reference diverged at lane {i}: {} vs {}",
             jv[i],
             rv[i]
         );
     }
-    println!("identity: jit == interpreter on all {N} lanes ({ops}-op expression), bitwise");
+    println!("identity: jit == reference on all {N} lanes ({ops}-op expression), bitwise");
     let fused = probe(&x, &y).sum();
     let two_pass = probe(&x, &y).eval_rpn().sum();
     assert_eq!(fused.to_bits(), two_pass.to_bits());
@@ -70,7 +71,7 @@ fn main() {
 
     // ---- wire contract: one RegisterKernel per pool, tiny invokes --------
     // The expression kernel is already registered (cache key = bytecode),
-    // so every eval in this window is exactly one EvalKernel broadcast.
+    // so every eval in this window is exactly one kernel-launch broadcast.
     ctx.reset_stats();
     let reps = 10u64;
     let mut live = Vec::with_capacity(reps as usize);
@@ -105,7 +106,7 @@ fn main() {
         std::hint::black_box(probe(&x, &y).eval());
         ctx.barrier();
     });
-    let t_rpn = best_of(5, || {
+    let t_ref = best_of(5, || {
         std::hint::black_box(probe(&x, &y).eval_rpn());
         ctx.barrier();
     });
@@ -116,13 +117,13 @@ fn main() {
     let t_reduce = best_of(5, || std::hint::black_box(probe(&x, &y).sum()));
     println!("\ntimings, {N} elems x {ops} ops, {WORKERS} workers (best of 5):");
     println!("  unfused (1 temp per AST node) : {}", fmt_s(t_unfused));
-    println!("  fused interpreter (RPN)       : {}", fmt_s(t_rpn));
+    println!("  reference evaluator           : {}", fmt_s(t_ref));
     println!("  jitted bytecode (VM)          : {}", fmt_s(t_jit));
     println!("  jitted fused reduction        : {}", fmt_s(t_reduce));
     println!(
-        "  -> jit is {:.1}x faster than unfused, {:.2}x vs interpreter",
+        "  -> jit is {:.1}x faster than unfused, {:.2}x vs the reference",
         t_unfused / t_jit,
-        t_rpn / t_jit
+        t_ref / t_jit
     );
     assert!(
         t_unfused >= 2.0 * t_jit,
@@ -133,5 +134,5 @@ fn main() {
     println!("\nshape: compilation happens once on the master (microseconds),");
     println!("then every evaluation is a single broadcast and a single pass");
     println!("over each worker's segment — no temporaries, no re-parsing, and");
-    println!("the answer never moves by a bit from the interpreted semantics.");
+    println!("the answer never moves by a bit from the reference semantics.");
 }

@@ -20,13 +20,8 @@ use dlinalg::DistVector;
 
 use crate::error::{OdinError, RecoveryReport};
 
-use crate::buffer::{
-    apply_binary, apply_binary_scalar, apply_unary, binary_result_dtype, binop_f64,
-    unary_result_dtype, Buffer, DType,
-};
-use crate::protocol::{
-    ArrayMeta, BinOp, Cmd, Dist, Fill, FusedOp, KernelOut, ReduceKind, ReplyMsg, UnaryOp,
-};
+use crate::buffer::{apply_binary, apply_binary_scalar, apply_unary, Buffer, DType};
+use crate::protocol::{ArrayMeta, Cmd, Dist, Fill, KernelOut, ReduceKind, ReplyMsg};
 use crate::slicing::{redistribute_worker, slice_worker};
 
 /// Signature of a registered local-mode function (the `@odin.local`
@@ -644,19 +639,6 @@ impl OdinContext {
                 touch(*a);
                 touch(*b);
             }
-            Cmd::EvalFused {
-                out,
-                template,
-                program,
-            } => {
-                touch(*out);
-                touch(*template);
-                for op in program {
-                    if let FusedOp::PushArray(id) = op {
-                        touch(*id);
-                    }
-                }
-            }
             Cmd::Reduce { a, out, axis, .. } => {
                 touch(*a);
                 if axis.is_some() {
@@ -666,21 +648,6 @@ impl OdinContext {
             Cmd::ArgReduce { a, .. } | Cmd::Fetch { a } => touch(*a),
             Cmd::CallLocal { arrays, .. } => {
                 for &id in arrays {
-                    touch(id);
-                }
-            }
-            Cmd::EvalKernel {
-                out,
-                template,
-                inputs,
-                reduce,
-                ..
-            } => {
-                if reduce.is_none() {
-                    touch(*out);
-                }
-                touch(*template);
-                for &id in inputs {
                     touch(id);
                 }
             }
@@ -802,7 +769,7 @@ impl OdinContext {
     }
 
     /// Ship compiled Seamless bytecode to every worker and return the
-    /// kernel id [`Cmd::EvalKernel`] invokes reference. Bitwise-identical
+    /// kernel id [`Cmd::EvalKernelMulti`] launches reference. Bitwise-identical
     /// programs are deduplicated through a structural cache, so each
     /// distinct kernel's code crosses the channel exactly once per pool;
     /// the program is also remembered for re-registration after
@@ -1524,130 +1491,14 @@ fn local_global_indices(map: &dmap::DistMap, slab: usize) -> impl Iterator<Item 
     })
 }
 
-fn eval_fused_dtype(program: &[FusedOp], metas: &HashMap<u64, (ArrayMeta, Buffer)>) -> DType {
-    let mut stack: Vec<DType> = Vec::new();
-    for op in program {
-        match op {
-            FusedOp::PushArray(id) => stack.push(metas[id].0.dtype),
-            FusedOp::PushScalar(v) => stack.push(if v.fract() == 0.0 {
-                DType::I64
-            } else {
-                DType::F64
-            }),
-            FusedOp::Unary(u) => {
-                let a = stack.pop().expect("fused stack underflow");
-                stack.push(unary_result_dtype(*u, a));
-            }
-            FusedOp::Binary(b) => {
-                let rhs = stack.pop().expect("fused stack underflow");
-                let lhs = stack.pop().expect("fused stack underflow");
-                stack.push(binary_result_dtype(*b, lhs, rhs));
-            }
-        }
-    }
-    assert_eq!(stack.len(), 1, "fused program must leave one value");
-    stack[0]
-}
-
-/// Apply a unary op to a whole chunk (one monomorphic tight loop per op).
-fn fused_unary_chunk(op: UnaryOp, buf: &mut [f64]) {
-    use UnaryOp::*;
-    match op {
-        Neg => buf.iter_mut().for_each(|x| *x = -*x),
-        Abs => buf.iter_mut().for_each(|x| *x = x.abs()),
-        Not => buf
-            .iter_mut()
-            .for_each(|x| *x = f64::from(u8::from(*x == 0.0))),
-        Sin => buf.iter_mut().for_each(|x| *x = x.sin()),
-        Cos => buf.iter_mut().for_each(|x| *x = x.cos()),
-        Tan => buf.iter_mut().for_each(|x| *x = x.tan()),
-        Exp => buf.iter_mut().for_each(|x| *x = x.exp()),
-        Log => buf.iter_mut().for_each(|x| *x = x.ln()),
-        Sqrt => buf.iter_mut().for_each(|x| *x = x.sqrt()),
-        Floor => buf.iter_mut().for_each(|x| *x = x.floor()),
-        Ceil => buf.iter_mut().for_each(|x| *x = x.ceil()),
-    }
-}
-
-/// Apply a binary op elementwise into the left chunk.
-fn fused_binary_chunk(op: BinOp, lhs: &mut [f64], rhs: &[f64]) {
-    use BinOp::*;
-    macro_rules! zip {
-        ($f:expr) => {
-            lhs.iter_mut().zip(rhs.iter()).for_each(|(x, y)| {
-                #[allow(clippy::redundant_closure_call)]
-                {
-                    *x = ($f)(*x, *y);
-                }
-            })
-        };
-    }
-    match op {
-        Add => zip!(|x: f64, y: f64| x + y),
-        Sub => zip!(|x: f64, y: f64| x - y),
-        Mul => zip!(|x: f64, y: f64| x * y),
-        Div => zip!(|x: f64, y: f64| x / y),
-        Pow => {
-            // constant small integer exponents (the common `x ** 2`) get
-            // strength-reduced to multiplies, like NumPy does
-            let uniform = !rhs.is_empty() && rhs.iter().all(|&v| v == rhs[0]);
-            if uniform && rhs[0].fract() == 0.0 && rhs[0].abs() <= 8.0 {
-                let e = rhs[0] as i32;
-                lhs.iter_mut().for_each(|x| *x = x.powi(e));
-            } else {
-                zip!(|x: f64, y: f64| x.powf(y))
-            }
-        }
-        Mod => zip!(|x: f64, y: f64| x % y),
-        Max => zip!(|x: f64, y: f64| x.max(y)),
-        Min => zip!(|x: f64, y: f64| x.min(y)),
-        Hypot => zip!(|x: f64, y: f64| x.hypot(y)),
-        Atan2 => zip!(|x: f64, y: f64| x.atan2(y)),
-        _ => zip!(|x: f64, y: f64| eval_fused_binary(op, x, y)),
-    }
-}
-
-#[allow(dead_code)]
-fn eval_fused_unary(op: UnaryOp, x: f64) -> f64 {
-    use UnaryOp::*;
-    match op {
-        Neg => -x,
-        Abs => x.abs(),
-        Not => f64::from(u8::from(x == 0.0)),
-        Sin => x.sin(),
-        Cos => x.cos(),
-        Tan => x.tan(),
-        Exp => x.exp(),
-        Log => x.ln(),
-        Sqrt => x.sqrt(),
-        Floor => x.floor(),
-        Ceil => x.ceil(),
-    }
-}
-
-fn eval_fused_binary(op: BinOp, x: f64, y: f64) -> f64 {
-    use BinOp::*;
-    match op {
-        Eq => f64::from(u8::from(x == y)),
-        Ne => f64::from(u8::from(x != y)),
-        Lt => f64::from(u8::from(x < y)),
-        Le => f64::from(u8::from(x <= y)),
-        Gt => f64::from(u8::from(x > y)),
-        Ge => f64::from(u8::from(x >= y)),
-        And => f64::from(u8::from(x != 0.0 && y != 0.0)),
-        Or => f64::from(u8::from(x != 0.0 || y != 0.0)),
-        _ => binop_f64(op, x, y),
-    }
-}
-
 /// Scratch buffers one worker reuses across commands, so steady-state
 /// command execution stops reallocating them per command.
 #[derive(Default)]
 struct WorkerScratch {
-    /// Recycled chunk-length `f64` buffers for `Cmd::EvalFused`.
-    fused_pool: Vec<Vec<f64>>,
-    /// Operand stack for `Cmd::EvalFused` (empty between commands).
-    fused_stack: Vec<Vec<f64>>,
+    /// Recycled `f64` rows for kernel launches.
+    f64_rows: Vec<Vec<f64>>,
+    /// Recycled `i64` rows for kernel launches.
+    i64_rows: Vec<Vec<i64>>,
 }
 
 fn worker_main(comm: &mut Comm, rx: Receiver<ToWorker>, reply: Sender<(usize, ReplyMsg)>) {
@@ -1806,76 +1657,6 @@ fn exec_cmd(
             let (meta, buf) = &arrays[&a];
             let (out_meta, out_buf) = slice_worker(comm, meta, buf, &specs);
             arrays.insert(out, (out_meta, out_buf));
-        }
-        Cmd::EvalFused {
-            out,
-            template,
-            program,
-        } => {
-            let out_dtype = eval_fused_dtype(&program, arrays);
-            let t_meta = arrays[&template].0.clone();
-            let n = arrays[&template].1.len();
-            // Fused evaluation in cache-sized chunks: intermediates live
-            // in a small stack of CHUNK-length buffers (L1/L2 resident),
-            // never in n-length temporaries — the loop-fusion win — while
-            // each opcode still runs as a tight vectorizable loop.
-            const CHUNK: usize = 4096;
-            let mut values = Vec::with_capacity(n);
-            // Stack and recycling pool persist in the worker scratch, so
-            // repeated fused evaluations reuse the same chunk buffers.
-            let stack = &mut scratch.fused_stack;
-            let pool = &mut scratch.fused_pool;
-            let mut start = 0usize;
-            while start < n || (n == 0 && start == 0) {
-                let end = (start + CHUNK).min(n);
-                let len = end - start;
-                for op in &program {
-                    match op {
-                        FusedOp::PushArray(id) => {
-                            let (m, b) = &arrays[id];
-                            debug_assert!(m.conformable(&t_meta), "fused input not conformable");
-                            let mut buf = pool.pop().unwrap_or_default();
-                            buf.clear();
-                            match b {
-                                Buffer::F64(v) => buf.extend_from_slice(&v[start..end]),
-                                _ => buf.extend((start..end).map(|i| b.get_f64(i))),
-                            }
-                            stack.push(buf);
-                        }
-                        FusedOp::PushScalar(v) => {
-                            let mut buf = pool.pop().unwrap_or_default();
-                            buf.clear();
-                            buf.resize(len, *v);
-                            stack.push(buf);
-                        }
-                        FusedOp::Unary(u) => {
-                            let top = stack.last_mut().expect("fused stack underflow");
-                            fused_unary_chunk(*u, top);
-                        }
-                        FusedOp::Binary(b) => {
-                            let rhs = stack.pop().expect("fused stack underflow");
-                            let lhs = stack.last_mut().expect("fused stack underflow");
-                            fused_binary_chunk(*b, lhs, &rhs);
-                            pool.push(rhs);
-                        }
-                    }
-                }
-                let result = stack.pop().expect("fused program must leave one value");
-                assert!(stack.is_empty(), "fused program left extra stack entries");
-                values.extend_from_slice(&result);
-                pool.push(result);
-                if n == 0 {
-                    break;
-                }
-                start = end;
-            }
-            comm.advance_compute((n * program.len()) as f64);
-            let result = Buffer::F64(values).astype(out_dtype);
-            let out_meta = ArrayMeta {
-                dtype: out_dtype,
-                ..t_meta
-            };
-            arrays.insert(out, (out_meta, result));
         }
         Cmd::Reduce { a, kind, axis, out } => {
             exec_reduce(comm, reply, arrays, a, kind, axis, out);
@@ -2136,25 +1917,6 @@ fn exec_cmd(
         Cmd::RegisterKernel { id, program } => {
             kernels.insert(id, program);
         }
-        Cmd::EvalKernel {
-            out,
-            kernel,
-            template,
-            inputs,
-            out_dtype,
-            reduce,
-            dtype,
-            native,
-        } => match dtype {
-            DType::F64 => exec_kernel(
-                comm, reply, arrays, kernels, scratch, out, kernel, template, &inputs, out_dtype,
-                reduce, native,
-            ),
-            DType::I64 | DType::Bool => exec_kernel_int(
-                comm, reply, arrays, kernels, out, kernel, template, &inputs, out_dtype, reduce,
-                native,
-            ),
-        },
         Cmd::EvalKernelMulti {
             kernel,
             template,
@@ -2164,575 +1926,235 @@ fn exec_cmd(
             dtype,
             native,
         } => {
-            exec_kernel_multi(
-                comm,
-                reply,
-                arrays,
-                kernels,
-                scratch,
-                kernel,
+            let launch = Launch {
+                program: kernels.get(&kernel).expect("unknown kernel"),
                 template,
-                &inputs,
-                &scalars,
-                &outs,
-                native && dtype == DType::F64,
-            );
+                inputs: &inputs,
+                scalars: &scalars,
+                outs: &outs,
+                native,
+            };
+            match dtype {
+                DType::F64 => exec_kernel::<f64>(comm, reply, arrays, scratch, launch),
+                DType::I64 | DType::Bool => {
+                    exec_kernel::<i64>(comm, reply, arrays, scratch, launch)
+                }
+            }
         }
     }
     true
 }
 
-/// Run a registered Seamless kernel element-wise over this worker's
-/// segment, optionally folding the results straight into a scalar
-/// reduction (one fused map+reduce pass, no materialized output array).
+/// Row element type of a kernel launch (its compute dtype): how a
+/// segment is borrowed or converted into rows, where recycled rows live,
+/// and how a harvested row becomes a segment.
+trait Elem: seamless::vm::Lane {
+    /// The segment itself, when its storage already is `Self`.
+    fn borrow(b: &Buffer) -> Option<&[Self]>;
+    /// Element `i` of a segment, converted like `astype`.
+    fn get(b: &Buffer, i: usize) -> Self;
+    /// This type's recycled rows.
+    fn pool(s: &mut WorkerScratch) -> &mut Vec<Vec<Self>>;
+    /// A harvested row as a segment of `dtype`.
+    fn into_buffer(row: Vec<Self>, dtype: DType) -> Buffer;
+}
+
+impl Elem for f64 {
+    fn borrow(b: &Buffer) -> Option<&[f64]> {
+        match b {
+            Buffer::F64(v) => Some(v),
+            _ => None,
+        }
+    }
+    fn get(b: &Buffer, i: usize) -> f64 {
+        b.get_f64(i)
+    }
+    fn pool(s: &mut WorkerScratch) -> &mut Vec<Vec<f64>> {
+        &mut s.f64_rows
+    }
+    fn into_buffer(row: Vec<f64>, dtype: DType) -> Buffer {
+        cast(Buffer::F64(row), dtype)
+    }
+}
+
+impl Elem for i64 {
+    fn borrow(b: &Buffer) -> Option<&[i64]> {
+        match b {
+            Buffer::I64(v) => Some(v),
+            _ => None,
+        }
+    }
+    fn get(b: &Buffer, i: usize) -> i64 {
+        b.get_i64(i)
+    }
+    fn pool(s: &mut WorkerScratch) -> &mut Vec<Vec<i64>> {
+        &mut s.i64_rows
+    }
+    fn into_buffer(row: Vec<i64>, dtype: DType) -> Buffer {
+        cast(Buffer::I64(row), dtype)
+    }
+}
+
+/// `astype` that moves a buffer already of the target dtype.
+fn cast(b: Buffer, dtype: DType) -> Buffer {
+    if b.dtype() == dtype {
+        b
+    } else {
+        b.astype(dtype)
+    }
+}
+
+/// One decoded [`Cmd::EvalKernelMulti`], its kernel resolved.
+struct Launch<'a> {
+    program: &'a seamless::bytecode::Program,
+    template: u64,
+    inputs: &'a [u64],
+    scalars: &'a [f64],
+    outs: &'a [KernelOut],
+    native: bool,
+}
+
+/// Run a registered kernel over this worker's segment and harvest its
+/// outputs — the one elementwise executor, monomorphized per compute
+/// dtype `T`. Inputs borrow in place when already `T` and convert into
+/// recycled rows otherwise; scalar parameters become constant rows.
 ///
-/// The map path mirrors `Cmd::EvalFused` (CHUNK-sized staging through the
-/// recycled scratch pool, compute in f64, final `astype`); the reduce tail
-/// mirrors `exec_reduce` with `axis: None` exactly — sequential
-/// element-order local fold, then one `allreduce`, then a rank-0 reply —
-/// so fused reductions are bitwise-identical to `map(...)` + `Reduce`.
-///
-/// With `native` set, the probed C monomorphization (DESIGN §15) replaces
-/// the chunked VM pass — one compiled call over the whole segment. The
-/// probe gate makes the tiers bitwise-interchangeable, and the modeled
-/// compute advance is tier-independent, so chaos/critical-path results do
-/// not depend on which tier ran.
-#[allow(clippy::too_many_arguments)]
-fn exec_kernel(
+/// With `native` set, the probed C monomorphization (DESIGN §15) runs the
+/// whole segment in one call; otherwise the VM runs it in
+/// [`KERNEL_CHUNK`]-lane chunks through recycled rows. Each
+/// [`KernelOut::Array`] collects its row and casts once at the end; each
+/// [`KernelOut::Reduce`] folds its row in element order, then one
+/// allreduce per reduction (in `outs` order) and a rank-0 reply with the
+/// totals — the same fold and tail as `exec_reduce`, so a fused reduction
+/// is bitwise-identical to materialize-then-reduce. The probe gate makes
+/// the tiers bitwise-interchangeable, and the modeled compute advance is
+/// tier-independent, so chaos/critical-path results do not depend on
+/// which tier ran.
+fn exec_kernel<T: Elem>(
     comm: &Comm,
     reply: &Sender<(usize, ReplyMsg)>,
     arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
-    kernels: &HashMap<u64, seamless::bytecode::Program>,
     scratch: &mut WorkerScratch,
-    out: u64,
-    kernel: u64,
-    template: u64,
-    inputs: &[u64],
-    out_dtype: DType,
-    reduce: Option<ReduceKind>,
-    native: bool,
+    launch: Launch<'_>,
 ) {
-    let program = kernels.get(&kernel).expect("unknown kernel");
+    let Launch {
+        program,
+        template,
+        inputs,
+        scalars,
+        outs,
+        native,
+    } = launch;
     let n_instrs = program.funcs.first().map_or(0, |f| f.instrs.len());
-    let vm = seamless::vm::Vm::new(program);
     let t_meta = arrays[&template].0.clone();
     let n = arrays[&template].1.len();
-    const CHUNK: usize = 4096;
-    // Kernel-VM event span: covers the chunked VM run plus its modeled
-    // compute advance, closing *before* the collective reduce tail so no
-    // comm spans nest inside it (the critical-path walk treats Kernel
-    // spans as atomic clock advances).
+    // Kernel event span: covers the body plus its modeled compute advance,
+    // closing *before* the collective reduce tail so no comm spans nest
+    // inside it (the critical-path walk treats Kernel spans as atomic
+    // clock advances).
     let kernel_timer = if obs::enabled() {
         Some(obs::span::span_start(comm.virtual_time()))
     } else {
         None
     };
-    let mut values = if reduce.is_none() {
-        Vec::with_capacity(n)
-    } else {
-        Vec::new()
-    };
-    let mut acc = reduce.map(reduce_identity);
-    // Native tier: the probed C monomorphization runs the whole segment
-    // in one call (no chunking — the compiled loop *is* the chunk loop).
-    // The cache was warmed master-side at build(), so this lookup never
+    let out_regs: Vec<_> = outs.iter().map(KernelOut::reg).collect();
+    // The cache was warmed master-side at build, so this lookup never
     // compiles on a worker; a cold cache (e.g. a replayed command after
     // recover) compiles once and probes before use.
     let native_fn = if native {
-        seamless::codegen::native_f64(program, None)
+        seamless::codegen::native::<T>(program, &out_regs)
     } else {
         None
     };
-    if let Some(nf) = native_fn {
-        // Inputs stage as full-length rows: F64 segments borrow in place,
-        // other dtypes widen into recycled scratch buffers.
-        let mut staged: Vec<Option<Vec<f64>>> = Vec::with_capacity(inputs.len());
-        for &id in inputs {
-            let (m, b) = &arrays[&id];
-            debug_assert!(m.conformable(&t_meta), "kernel input not conformable");
-            staged.push(match b {
-                Buffer::F64(_) => None,
-                _ => {
-                    let mut buf = scratch.fused_pool.pop().unwrap_or_default();
-                    buf.clear();
-                    buf.extend((0..n).map(|i| b.get_f64(i)));
-                    Some(buf)
-                }
-            });
-        }
-        let refs: Vec<&[f64]> = inputs
-            .iter()
-            .zip(&staged)
-            .map(|(&id, s)| match s {
-                Some(buf) => &buf[..],
-                None => match &arrays[&id].1 {
-                    Buffer::F64(v) => &v[..n],
-                    _ => unreachable!("non-F64 inputs are staged"),
-                },
-            })
-            .collect();
-        match acc {
-            None => {
-                values.resize(n, 0.0);
-                nf.run(&refs, &mut [&mut values[..]], n);
-            }
-            Some(ref mut a) => {
-                // Fold the native row in the same sequential element order
-                // as the chunked VM tail, so reductions stay bitwise equal.
-                let mut row = scratch.fused_pool.pop().unwrap_or_default();
-                row.clear();
-                row.resize(n, 0.0);
-                nf.run(&refs, &mut [&mut row[..]], n);
-                let kind = reduce.expect("acc implies reduce");
-                for &v in &row[..n] {
-                    *a = reduce_combine(kind, *a, reduce_element(kind, v));
-                }
-                scratch.fused_pool.push(row);
-            }
-        }
-        for s in staged.into_iter().flatten() {
-            scratch.fused_pool.push(s);
-        }
-        if obs::enabled() {
-            obs::global().counter("odin.kernel.native_invokes").add(1);
-        }
+    let vm = seamless::vm::Vm::new(program);
+    let chunk = if native_fn.is_some() {
+        n
     } else {
-        let mut out_chunk = scratch.fused_pool.pop().unwrap_or_default();
-        out_chunk.clear();
-        out_chunk.resize(CHUNK.min(n.max(1)), 0.0);
-        // Non-F64 inputs are staged into recycled chunk buffers; F64 inputs
-        // are borrowed directly from the segment, no copy.
-        let mut staged: Vec<Option<Vec<f64>>> = Vec::with_capacity(inputs.len());
-        for &id in inputs {
-            let (m, b) = &arrays[&id];
-            debug_assert!(m.conformable(&t_meta), "kernel input not conformable");
-            staged.push(match b {
-                Buffer::F64(_) => None,
-                _ => {
-                    let mut buf = scratch.fused_pool.pop().unwrap_or_default();
-                    buf.clear();
-                    Some(buf)
-                }
-            });
-        }
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + CHUNK).min(n);
-            let len = end - start;
-            for (k, &id) in inputs.iter().enumerate() {
-                if let Some(buf) = &mut staged[k] {
-                    let b = &arrays[&id].1;
-                    buf.clear();
-                    buf.extend((start..end).map(|i| b.get_f64(i)));
-                }
-            }
-            let refs: Vec<&[f64]> = inputs
-                .iter()
-                .zip(&staged)
-                .map(|(&id, s)| match s {
-                    Some(buf) => &buf[..],
-                    None => match &arrays[&id].1 {
-                        Buffer::F64(v) => &v[start..end],
-                        _ => unreachable!("non-F64 inputs are staged"),
-                    },
-                })
-                .collect();
-            vm.run_f64_chunk(0, &refs, &mut out_chunk[..len])
-                .expect("kernel failed on a worker segment");
-            match acc {
-                None => values.extend_from_slice(&out_chunk[..len]),
-                Some(ref mut a) => {
-                    let kind = reduce.expect("acc implies reduce");
-                    for &v in &out_chunk[..len] {
-                        *a = reduce_combine(kind, *a, reduce_element(kind, v));
-                    }
-                }
-            }
-            start = end;
-        }
-        for s in staged.into_iter().flatten() {
-            scratch.fused_pool.push(s);
-        }
-        scratch.fused_pool.push(out_chunk);
-    }
-    // The modeled compute advance is tier-independent: chaos schedules and
-    // critical-path attributions must not depend on which tier executed.
-    comm.advance_compute((n * n_instrs.max(1)) as f64);
-    if let Some(t) = kernel_timer {
-        t.finish_meta(
-            "odin",
-            "kernel",
-            comm.virtual_time(),
-            &[("n", n as f64), ("instrs", n_instrs as f64)],
-            obs::span::SpanMeta {
-                kind: obs::span::SpanKind::Kernel,
-                flow_out: 0,
-                flow_in: 0,
-            },
-        );
-    }
-    match acc {
-        None => {
-            let result = Buffer::F64(values).astype(out_dtype);
-            let out_meta = ArrayMeta {
-                dtype: out_dtype,
-                ..t_meta
-            };
-            arrays.insert(out, (out_meta, result));
-        }
-        Some(local) => {
-            // Collective: must run on every rank even with an empty segment.
-            let kind = reduce.expect("acc implies reduce");
-            let total = comm.allreduce(&local, |x: &f64, y: &f64| reduce_combine(kind, *x, *y));
-            if comm.rank() == 0 {
-                let _ = reply.send((comm.rank(), ReplyMsg::Bytes(comm::encode_to_vec(&total))));
-            }
-        }
-    }
-}
-
-/// Integer-plane twin of [`exec_kernel`]: runs an I64- or Bool-dtype
-/// kernel monomorphization over this worker's segment without ever
-/// round-tripping through f64 compute. Inputs stage as full-length i64
-/// rows (`I64` segments borrow in place, bools widen to 0/1, floats
-/// truncate like `astype`), the body runs either through the probed
-/// native tier ([`seamless::codegen::native_i64`]) or one full-length
-/// [`seamless::vm::Vm::run_i64_chunk`] pass, and reductions fold the i64
-/// row widened per-element to f64 so collective tails share
-/// `reduce_combine` with the float plane.
-#[allow(clippy::too_many_arguments)]
-fn exec_kernel_int(
-    comm: &Comm,
-    reply: &Sender<(usize, ReplyMsg)>,
-    arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
-    kernels: &HashMap<u64, seamless::bytecode::Program>,
-    out: u64,
-    kernel: u64,
-    template: u64,
-    inputs: &[u64],
-    out_dtype: DType,
-    reduce: Option<ReduceKind>,
-    native: bool,
-) {
-    let program = kernels.get(&kernel).expect("unknown kernel");
-    let n_instrs = program.funcs.first().map_or(0, |f| f.instrs.len());
-    let t_meta = arrays[&template].0.clone();
-    let n = arrays[&template].1.len();
-    let kernel_timer = if obs::enabled() {
-        Some(obs::span::span_start(comm.virtual_time()))
-    } else {
-        None
+        KERNEL_CHUNK.min(n)
     };
-    // Stage inputs as full-length i64 rows; I64 segments borrow in place.
-    let mut staged: Vec<Option<Vec<i64>>> = Vec::with_capacity(inputs.len());
-    for &id in inputs {
-        let (m, b) = &arrays[&id];
-        debug_assert!(m.conformable(&t_meta), "kernel input not conformable");
-        staged.push(match b {
-            Buffer::I64(_) => None,
-            _ => Some((0..n).map(|i| b.get_i64(i)).collect()),
-        });
-    }
-    let refs: Vec<&[i64]> = inputs
+    let whole = chunk == n;
+    let pool = T::pool(scratch);
+    let mut row = |len: usize, fill: T| {
+        let mut r = pool.pop().unwrap_or_default();
+        r.clear();
+        r.resize(len, fill);
+        r
+    };
+    let mut staged: Vec<Option<Vec<T>>> = inputs
         .iter()
-        .zip(&staged)
-        .map(|(&id, s)| match s {
-            Some(buf) => &buf[..],
-            None => match &arrays[&id].1 {
-                Buffer::I64(v) => &v[..n],
-                _ => unreachable!("non-I64 inputs are staged"),
-            },
+        .map(|id| {
+            let (m, b) = &arrays[id];
+            debug_assert!(m.conformable(&t_meta), "kernel input not conformable");
+            T::borrow(b).is_none().then(|| row(0, T::default()))
         })
         .collect();
-    let mut values: Vec<i64> = vec![0; n];
-    let native_fn = if native {
-        seamless::codegen::native_i64(program)
-    } else {
-        None
-    };
-    if let Some(nf) = native_fn {
-        nf.run(&refs, &mut values, n);
-        if obs::enabled() {
-            obs::global().counter("odin.kernel.native_invokes").add(1);
-        }
-    } else if n > 0 {
-        let vm = seamless::vm::Vm::new(program);
-        vm.run_i64_chunk(0, &refs, &mut values)
-            .expect("integer kernel failed on a worker segment");
-    }
-    // Tier-independent modeled compute advance, same formula as the f64
-    // plane so dtype choice never perturbs chaos/critical-path timing.
-    comm.advance_compute((n * n_instrs.max(1)) as f64);
-    if let Some(t) = kernel_timer {
-        t.finish_meta(
-            "odin",
-            "kernel",
-            comm.virtual_time(),
-            &[("n", n as f64), ("instrs", n_instrs as f64)],
-            obs::span::SpanMeta {
-                kind: obs::span::SpanKind::Kernel,
-                flow_out: 0,
-                flow_in: 0,
-            },
-        );
-    }
-    match reduce {
-        None => {
-            let result = if out_dtype == DType::Bool {
-                Buffer::Bool(values.iter().map(|&v| v != 0).collect())
-            } else {
-                Buffer::I64(values).astype(out_dtype)
-            };
-            let out_meta = ArrayMeta {
-                dtype: out_dtype,
-                ..t_meta
-            };
-            arrays.insert(out, (out_meta, result));
-        }
-        Some(kind) => {
-            // Fold widened per-element to f64 so the collective tail is
-            // shared with the float plane (Sum/Prod/Min/Max/CountNonzero
-            // all round-trip exactly for the magnitudes tests exercise).
-            let mut local = reduce_identity(kind);
-            for &v in &values {
-                local = reduce_combine(kind, local, reduce_element(kind, v as f64));
-            }
-            let total = comm.allreduce(&local, |x: &f64, y: &f64| reduce_combine(kind, *x, *y));
-            if comm.rank() == 0 {
-                let _ = reply.send((comm.rank(), ReplyMsg::Bytes(comm::encode_to_vec(&total))));
-            }
-        }
-    }
-}
-
-/// Run a fused multi-statement kernel over this worker's segment and
-/// harvest several register rows in one pass: each [`KernelOut::Array`]
-/// materializes like [`exec_kernel`]'s map path (raw f64 rows collected
-/// per chunk, one final `astype`), each [`KernelOut::Reduce`] folds its
-/// row exactly like the fused reduce tail (sequential element-order local
-/// fold, one `allreduce` per reduction in `outs` order, rank-0 reply with
-/// the scalar vector). Scalar parameters arrive as resolved f64 values
-/// and are staged as constant chunk rows, so the bytecode sees them as
-/// ordinary float inputs.
-#[allow(clippy::too_many_arguments)]
-fn exec_kernel_multi(
-    comm: &Comm,
-    reply: &Sender<(usize, ReplyMsg)>,
-    arrays: &mut HashMap<u64, (ArrayMeta, Buffer)>,
-    kernels: &HashMap<u64, seamless::bytecode::Program>,
-    scratch: &mut WorkerScratch,
-    kernel: u64,
-    template: u64,
-    inputs: &[u64],
-    scalars: &[f64],
-    outs: &[KernelOut],
-    native: bool,
-) {
-    let program = kernels.get(&kernel).expect("unknown kernel");
-    let n_instrs = program.funcs.first().map_or(0, |f| f.instrs.len());
-    let t_meta = arrays[&template].0.clone();
-    let n = arrays[&template].1.len();
-    const CHUNK: usize = 4096;
-    let kernel_timer = if obs::enabled() {
-        Some(obs::span::span_start(comm.virtual_time()))
-    } else {
-        None
-    };
-    let out_regs: Vec<seamless::bytecode::Reg> = outs
+    let scalar_rows: Vec<Vec<T>> = scalars
+        .iter()
+        .map(|&v| row(chunk, T::from_f64(v)))
+        .collect();
+    let mut out_rows: Vec<Vec<T>> = outs.iter().map(|_| row(chunk, T::default())).collect();
+    let mut values: Vec<Vec<T>> = outs
         .iter()
         .map(|o| match o {
-            KernelOut::Array { reg, .. } | KernelOut::Reduce { reg, .. } => *reg,
+            KernelOut::Array { .. } if !whole => Vec::with_capacity(n),
+            _ => Vec::new(),
         })
         .collect();
-    // Per-output state: raw f64 collectors for arrays, fold accumulators
-    // for reductions (identical start values to the single-out path).
-    let mut values: Vec<Vec<f64>> = outs
-        .iter()
-        .map(|o| match o {
-            KernelOut::Array { .. } => Vec::with_capacity(n),
-            KernelOut::Reduce { .. } => Vec::new(),
-        })
-        .collect();
-    let mut accs: Vec<f64> = outs
+    let mut partials: Vec<f64> = outs
         .iter()
         .map(|o| match o {
             KernelOut::Reduce { kind, .. } => reduce_identity(*kind),
             KernelOut::Array { .. } => 0.0,
         })
         .collect();
-    // Native tier: the probed multi-output monomorphization (out_regs are
-    // part of the cache key and the mangled symbol) runs the whole
-    // segment in one call, writing every harvested register row at once.
-    let native_fn = if native {
-        seamless::codegen::native_f64(program, Some(&out_regs))
-    } else {
-        None
-    };
-    if let Some(nf) = native_fn {
-        // Full-length staging: F64 segments borrow, others widen, scalar
-        // parameters become full constant rows.
-        let mut staged: Vec<Option<Vec<f64>>> = Vec::with_capacity(inputs.len());
-        for &id in inputs {
-            let (m, b) = &arrays[&id];
-            debug_assert!(m.conformable(&t_meta), "kernel input not conformable");
-            staged.push(match b {
-                Buffer::F64(_) => None,
-                _ => {
-                    let mut buf = scratch.fused_pool.pop().unwrap_or_default();
-                    buf.clear();
-                    buf.extend((0..n).map(|i| b.get_f64(i)));
-                    Some(buf)
-                }
-            });
+    let mut start = 0usize;
+    while start < n {
+        let end = (start + chunk).min(n);
+        let len = end - start;
+        for (buf, id) in staged.iter_mut().zip(inputs) {
+            if let Some(buf) = buf {
+                let b = &arrays[id].1;
+                buf.clear();
+                buf.extend((start..end).map(|i| T::get(b, i)));
+            }
         }
-        let scalar_rows: Vec<Vec<f64>> = scalars
-            .iter()
-            .map(|&v| {
-                let mut row = scratch.fused_pool.pop().unwrap_or_default();
-                row.clear();
-                row.resize(n, v);
-                row
-            })
-            .collect();
-        let mut refs: Vec<&[f64]> = inputs
+        let mut refs: Vec<&[T]> = inputs
             .iter()
             .zip(&staged)
-            .map(|(&id, s)| match s {
+            .map(|(id, s)| match s {
                 Some(buf) => &buf[..],
-                None => match &arrays[&id].1 {
-                    Buffer::F64(v) => &v[..n],
-                    _ => unreachable!("non-F64 inputs are staged"),
-                },
+                None => &T::borrow(&arrays[id].1).expect("unstaged inputs borrow")[start..end],
             })
             .collect();
-        refs.extend(scalar_rows.iter().map(|r| &r[..]));
-        let mut out_full: Vec<Vec<f64>> = (0..outs.len())
-            .map(|_| {
-                let mut row = scratch.fused_pool.pop().unwrap_or_default();
-                row.clear();
-                row.resize(n, 0.0);
-                row
-            })
-            .collect();
-        {
-            let mut row_refs: Vec<&mut [f64]> = out_full.iter_mut().map(|r| &mut r[..]).collect();
-            nf.run(&refs, &mut row_refs, n);
+        refs.extend(scalar_rows.iter().map(|r| &r[..len]));
+        let mut rows: Vec<&mut [T]> = out_rows.iter_mut().map(|r| &mut r[..len]).collect();
+        match native_fn {
+            Some(nf) => nf.run(&refs, &mut rows, len),
+            None => vm
+                .run_chunk(0, &refs, &out_regs, &mut rows)
+                .expect("kernel failed on a worker segment"),
         }
         for (slot, o) in outs.iter().enumerate() {
             match o {
-                KernelOut::Array { .. } => {
-                    // Move the native row straight into the result slot —
-                    // no chunk copy on the native tier.
-                    values[slot] = std::mem::take(&mut out_full[slot]);
+                // one call covered the whole segment: keep its row as is
+                KernelOut::Array { .. } if whole => {
+                    std::mem::swap(&mut values[slot], &mut out_rows[slot])
                 }
+                KernelOut::Array { .. } => values[slot].extend_from_slice(&out_rows[slot][..len]),
                 KernelOut::Reduce { kind, .. } => {
-                    let a = &mut accs[slot];
-                    for &v in &out_full[slot][..n] {
-                        *a = reduce_combine(*kind, *a, reduce_element(*kind, v));
-                    }
+                    let p = &mut partials[slot];
+                    *p = fold(*kind, *p, out_rows[slot][..len].iter().map(|v| v.to_f64()));
                 }
             }
         }
-        for s in staged.into_iter().flatten() {
-            scratch.fused_pool.push(s);
-        }
-        for row in scalar_rows {
-            scratch.fused_pool.push(row);
-        }
-        for row in out_full {
-            scratch.fused_pool.push(row);
-        }
-        if obs::enabled() {
-            obs::global().counter("odin.kernel.native_invokes").add(1);
-        }
-    } else {
-        let vm = seamless::vm::Vm::new(program);
-        let mut out_rows: Vec<Vec<f64>> = (0..outs.len())
-            .map(|_| {
-                let mut row = scratch.fused_pool.pop().unwrap_or_default();
-                row.clear();
-                row.resize(CHUNK.min(n.max(1)), 0.0);
-                row
-            })
-            .collect();
-        // Non-F64 inputs are staged into recycled chunk buffers; F64 inputs
-        // are borrowed directly from the segment. Scalar parameters become
-        // constant rows, filled once.
-        let mut staged: Vec<Option<Vec<f64>>> = Vec::with_capacity(inputs.len());
-        for &id in inputs {
-            let (m, b) = &arrays[&id];
-            debug_assert!(m.conformable(&t_meta), "kernel input not conformable");
-            staged.push(match b {
-                Buffer::F64(_) => None,
-                _ => {
-                    let mut buf = scratch.fused_pool.pop().unwrap_or_default();
-                    buf.clear();
-                    Some(buf)
-                }
-            });
-        }
-        let scalar_rows: Vec<Vec<f64>> = scalars
-            .iter()
-            .map(|&v| {
-                let mut row = scratch.fused_pool.pop().unwrap_or_default();
-                row.clear();
-                row.resize(CHUNK.min(n.max(1)), v);
-                row
-            })
-            .collect();
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + CHUNK).min(n);
-            let len = end - start;
-            for (k, &id) in inputs.iter().enumerate() {
-                if let Some(buf) = &mut staged[k] {
-                    let b = &arrays[&id].1;
-                    buf.clear();
-                    buf.extend((start..end).map(|i| b.get_f64(i)));
-                }
-            }
-            let mut refs: Vec<&[f64]> = inputs
-                .iter()
-                .zip(&staged)
-                .map(|(&id, s)| match s {
-                    Some(buf) => &buf[..],
-                    None => match &arrays[&id].1 {
-                        Buffer::F64(v) => &v[start..end],
-                        _ => unreachable!("non-F64 inputs are staged"),
-                    },
-                })
-                .collect();
-            refs.extend(scalar_rows.iter().map(|r| &r[..len]));
-            {
-                let mut row_refs: Vec<&mut [f64]> =
-                    out_rows.iter_mut().map(|r| &mut r[..len]).collect();
-                vm.run_f64_multi_chunk(0, &refs, &out_regs, &mut row_refs)
-                    .expect("fused kernel failed on a worker segment");
-            }
-            for (slot, o) in outs.iter().enumerate() {
-                match o {
-                    KernelOut::Array { .. } => {
-                        values[slot].extend_from_slice(&out_rows[slot][..len]);
-                    }
-                    KernelOut::Reduce { kind, .. } => {
-                        let a = &mut accs[slot];
-                        for &v in &out_rows[slot][..len] {
-                            *a = reduce_combine(*kind, *a, reduce_element(*kind, v));
-                        }
-                    }
-                }
-            }
-            start = end;
-        }
-        for s in staged.into_iter().flatten() {
-            scratch.fused_pool.push(s);
-        }
-        for row in scalar_rows {
-            scratch.fused_pool.push(row);
-        }
-        for row in out_rows {
-            scratch.fused_pool.push(row);
-        }
+        start = end;
+    }
+    let pool = T::pool(scratch);
+    pool.extend(staged.into_iter().flatten());
+    pool.extend(scalar_rows);
+    pool.extend(out_rows);
+    if native_fn.is_some() && obs::enabled() {
+        obs::global().counter("odin.kernel.native_invokes").add(1);
     }
     comm.advance_compute((n * n_instrs.max(1)) as f64);
     if let Some(t) = kernel_timer {
@@ -2748,30 +2170,48 @@ fn exec_kernel_multi(
             },
         );
     }
-    let mut totals: Vec<f64> = Vec::new();
-    for (slot, o) in outs.iter().enumerate() {
-        match o {
+    let mut reductions = Vec::new();
+    for ((o, row), partial) in outs.iter().zip(values).zip(partials) {
+        match *o {
             KernelOut::Array { id, dtype, .. } => {
-                let raw = std::mem::take(&mut values[slot]);
-                let result = Buffer::F64(raw).astype(*dtype);
                 let out_meta = ArrayMeta {
-                    dtype: *dtype,
+                    dtype,
                     ..t_meta.clone()
                 };
-                arrays.insert(*id, (out_meta, result));
+                arrays.insert(id, (out_meta, T::into_buffer(row, dtype)));
             }
-            KernelOut::Reduce { kind, .. } => {
-                // Collective: runs on every rank even with an empty segment,
-                // one allreduce per reduction, in declaration order.
-                let total = comm.allreduce(&accs[slot], |x: &f64, y: &f64| {
-                    reduce_combine(*kind, *x, *y)
-                });
-                totals.push(total);
-            }
+            KernelOut::Reduce { kind, .. } => reductions.push((kind, partial)),
         }
     }
-    if !totals.is_empty() && comm.rank() == 0 {
-        let _ = reply.send((comm.rank(), ReplyMsg::Bytes(comm::encode_to_vec(&totals))));
+    if !reductions.is_empty() {
+        reply_from_root(comm, reply, &allreduce_partials(comm, &reductions));
+    }
+}
+
+/// Lanes per VM call of a kernel launch: small enough that the register
+/// rows of a fused body stay cache-resident.
+const KERNEL_CHUNK: usize = 4096;
+
+/// Fold `values` into `acc` in element order — the one local fold every
+/// whole-array reduction shares.
+fn fold(kind: ReduceKind, acc: f64, values: impl Iterator<Item = f64>) -> f64 {
+    values.fold(acc, |a, v| reduce_combine(kind, a, reduce_element(kind, v)))
+}
+
+/// Combine each rank's `(kind, partial)` across the pool, one allreduce
+/// per partial, in order. A collective: every rank runs it, even with an
+/// empty segment.
+fn allreduce_partials(comm: &Comm, partials: &[(ReduceKind, f64)]) -> Vec<f64> {
+    partials
+        .iter()
+        .map(|&(kind, p)| comm.allreduce(&p, |x: &f64, y: &f64| reduce_combine(kind, *x, *y)))
+        .collect()
+}
+
+/// Rank 0 answers the master (commands whose protocol has one replier).
+fn reply_from_root<W: Wire>(comm: &Comm, reply: &Sender<(usize, ReplyMsg)>, value: &W) {
+    if comm.rank() == 0 {
+        let _ = reply.send((0, ReplyMsg::Bytes(comm::encode_to_vec(value))));
     }
 }
 
@@ -2811,18 +2251,17 @@ fn exec_reduce(
 ) {
     let p = comm.size();
     let rank = comm.rank();
-    let (meta, buf) = arrays[&a].clone();
+    let (meta, buf) = &arrays[&a];
     match axis {
         None => {
-            let mut acc = reduce_identity(kind);
-            for i in 0..buf.len() {
-                acc = reduce_combine(kind, acc, reduce_element(kind, buf.get_f64(i)));
-            }
+            let partial = fold(
+                kind,
+                reduce_identity(kind),
+                (0..buf.len()).map(|i| buf.get_f64(i)),
+            );
             comm.advance_compute(buf.len() as f64);
-            let total = comm.allreduce(&acc, |x: &f64, y: &f64| reduce_combine(kind, *x, *y));
-            if rank == 0 {
-                let _ = reply.send((rank, ReplyMsg::Bytes(comm::encode_to_vec(&total))));
-            }
+            let total = allreduce_partials(comm, &[(kind, partial)]);
+            reply_from_root(comm, reply, &total[0]);
         }
         Some(0) => {
             assert!(meta.ndim() >= 2, "axis-0 reduce needs ndim ≥ 2");
@@ -3154,39 +2593,5 @@ mod tests {
         assert_eq!(x.to_vec(), want);
         assert!(ctx.health_check().is_ok());
         std::mem::forget(x);
-    }
-
-    #[test]
-    fn fused_dtype_inference() {
-        let mut arrays = HashMap::new();
-        let meta_f = ArrayMeta {
-            shape: vec![4],
-            axis: 0,
-            dist: Dist::Block,
-            dtype: DType::F64,
-        };
-        let meta_i = ArrayMeta {
-            dtype: DType::I64,
-            ..meta_f.clone()
-        };
-        arrays.insert(1u64, (meta_f, Buffer::F64(vec![])));
-        arrays.insert(2u64, (meta_i, Buffer::I64(vec![])));
-        // i + i stays integer
-        let p = vec![
-            FusedOp::PushArray(2),
-            FusedOp::PushArray(2),
-            FusedOp::Binary(BinOp::Add),
-        ];
-        assert_eq!(eval_fused_dtype(&p, &arrays), DType::I64);
-        // sqrt promotes
-        let p2 = vec![FusedOp::PushArray(2), FusedOp::Unary(UnaryOp::Sqrt)];
-        assert_eq!(eval_fused_dtype(&p2, &arrays), DType::F64);
-        // comparison is bool
-        let p3 = vec![
-            FusedOp::PushArray(1),
-            FusedOp::PushScalar(0.5),
-            FusedOp::Binary(BinOp::Gt),
-        ];
-        assert_eq!(eval_fused_dtype(&p3, &arrays), DType::Bool);
     }
 }

@@ -2,24 +2,27 @@
 //! array expressions. These optimizations include: loop fusion, …").
 //!
 //! An [`Expr`] is built without touching the workers; [`Expr::eval`]
-//! lowers it to Seamless bytecode, registers the kernel once on every
-//! worker (structurally identical expressions reuse the registration),
-//! and executes it in one unboxed pass over each worker's segment — no
+//! runs it as a one-statement whole-program trace ([`crate::program`]):
+//! lowered to Seamless bytecode, registered once on every worker
+//! (structurally identical expressions reuse the registration), and
+//! executed in one unboxed pass over each worker's segment — no
 //! intermediate arrays, and each invoke after the first is a
-//! tens-of-bytes control message. [`Expr::eval_rpn`] runs the older
-//! interpreted RPN plane instead (bitwise-identical results; the JIT
-//! parity baseline), and [`Expr::eval_unfused`] materializes every node
-//! (what eager evaluation does); experiments E6/E20 measure the
-//! differences. [`Expr::sum`] / [`Expr::max`] / [`Expr::min`] fuse the
-//! reduction into the same pass — map and fold without ever
-//! materializing the mapped array.
+//! tens-of-bytes control message. [`Expr::sum`] / [`Expr::max`] /
+//! [`Expr::min`] fuse the reduction into the same pass — map and fold
+//! without ever materializing the mapped array. [`Expr::eval_unfused`]
+//! materializes every node (what eager evaluation does), and
+//! [`Expr::eval_rpn`] is the reference evaluator the kernel planes are
+//! checked against bit for bit; experiments E6/E20 measure the
+//! differences.
+
+use std::sync::Arc;
 
 use crate::array::DistArray;
-use crate::buffer::DType;
-use crate::protocol::{ArrayMeta, BinOp, Cmd, FusedOp, ReduceKind, UnaryOp};
-use seamless::bytecode::{Cmp, CompiledFunc, Instr, Math2Fn, MathFn, Program, Reg, RegFile};
-use seamless::Type;
-use std::collections::HashMap;
+use crate::buffer::{binop_f64, Buffer, DType};
+use crate::context::LocalFn;
+use crate::program::{PExpr, Program};
+use crate::protocol::{ArrayMeta, BinOp, ReduceKind, UnaryOp};
+use seamless::bytecode::{Cmp, Instr, Math2Fn, MathFn, Reg};
 
 /// A lazy elementwise expression over distributed arrays.
 pub enum Expr<'x, 'c> {
@@ -98,6 +101,13 @@ impl<'x, 'c> Expr<'x, 'c> {
         }
     }
 
+    /// The template operand: the leftmost array (defines the output's
+    /// geometry and the distribution every other operand aligns to).
+    fn template(&self) -> &'x DistArray<'c> {
+        self.first_leaf()
+            .expect("expression needs at least one array operand")
+    }
+
     fn collect_leaves(&self, out: &mut Vec<&'x DistArray<'c>>) {
         match self {
             Expr::Leaf(a) => out.push(a),
@@ -119,184 +129,96 @@ impl<'x, 'c> Expr<'x, 'c> {
         }
     }
 
-    fn compile(&self, aligned: &std::collections::HashMap<u64, u64>, program: &mut Vec<FusedOp>) {
+    /// Record this expression's tree into a trace.
+    fn traced(&self, p: &mut Program<'x, 'c>) -> PExpr {
         match self {
-            Expr::Leaf(a) => {
-                let id = aligned.get(&a.id()).copied().unwrap_or_else(|| a.id());
-                program.push(FusedOp::PushArray(id));
-            }
-            Expr::Scalar(v) => program.push(FusedOp::PushScalar(*v)),
-            Expr::Unary(op, e) => {
-                e.compile(aligned, program);
-                program.push(FusedOp::Unary(*op));
-            }
+            Expr::Leaf(a) => p.leaf(a),
+            Expr::Scalar(v) => PExpr::scalar(*v),
+            Expr::Unary(op, e) => e.traced(p).un(*op),
             Expr::Binary(op, a, b) => {
-                a.compile(aligned, program);
-                b.compile(aligned, program);
-                program.push(FusedOp::Binary(*op));
+                let lhs = a.traced(p);
+                lhs.bin(*op, b.traced(p))
             }
         }
     }
 
-    /// Align non-conformable leaves against the template's distribution
-    /// (kept alive until the kernel command has been issued — commands
-    /// are processed in order, so issuing Free afterwards is safe).
-    fn align(&self, t_meta: &ArrayMeta) -> (HashMap<u64, u64>, Vec<DistArray<'c>>) {
-        let mut leaves = Vec::new();
-        self.collect_leaves(&mut leaves);
-        let mut aligned = HashMap::new();
-        let mut temps: Vec<DistArray<'c>> = Vec::new();
-        for leaf in &leaves {
-            let m = leaf.meta();
-            assert_eq!(m.shape, t_meta.shape, "fused operands must share a shape");
-            if !m.conformable(t_meta) && !aligned.contains_key(&leaf.id()) {
-                let moved = leaf.redistribute(t_meta.dist);
-                aligned.insert(leaf.id(), moved.id());
-                temps.push(moved);
-            }
-        }
-        (aligned, temps)
-    }
-
-    /// Lower to a single straight-line Seamless bytecode function over
-    /// f64 scalar parameters, one per distinct (aligned) leaf array.
-    /// Returns the program and the ordered input array ids that bind to
-    /// its parameters.
-    fn lower(&self, aligned: &HashMap<u64, u64>) -> (Program, Vec<u64>) {
-        let mut leaves = Vec::new();
-        self.collect_leaves(&mut leaves);
-        let mut inputs: Vec<u64> = Vec::new();
-        let mut params: HashMap<u64, Reg> = HashMap::new();
-        for leaf in &leaves {
-            let id = aligned
-                .get(&leaf.id())
-                .copied()
-                .unwrap_or_else(|| leaf.id());
-            if let std::collections::hash_map::Entry::Vacant(e) = params.entry(id) {
-                e.insert(inputs.len() as Reg);
-                inputs.push(id);
-            }
-        }
-        let n = inputs.len();
-        let mut lw = Lowerer::with_params(params, n);
-        let ret = lw.go(self, aligned);
-        lw.instrs.push(Instr::Ret(Some((RegFile::F, ret))));
-        let f = CompiledFunc {
-            name: "expr".into(),
-            params: (0..n).map(|k| (RegFile::F, k as Reg)).collect(),
-            param_types: vec![Type::Float; n],
-            ret: Type::Float,
-            reg_counts: [lw.n_f as usize, lw.n_i as usize, 0, 0],
-            instrs: lw.instrs,
-        };
-        (
-            Program {
-                funcs: vec![f],
-                externs: Vec::new(),
-            },
-            inputs,
-        )
-    }
-
-    /// Evaluate through the JIT kernel plane: lower once to Seamless
-    /// bytecode, register it on every worker (cached — a structurally
-    /// identical expression reuses the registration), then run one
-    /// unboxed fused pass per worker segment. One small control message
-    /// per invoke, no temporaries, bitwise-identical to
-    /// [`Expr::eval_rpn`].
+    /// Evaluate through the JIT kernel plane as a one-statement trace:
+    /// lowered once to Seamless bytecode, registered on every worker
+    /// (cached — a structurally identical expression reuses the
+    /// registration), then one unboxed fused pass per worker segment.
+    /// One small control message per invoke, no temporaries,
+    /// bitwise-identical to [`Expr::eval_rpn`].
     pub fn eval(&self) -> DistArray<'c> {
-        let template = self
-            .first_leaf()
-            .expect("expression needs at least one array operand");
-        let ctx = template.ctx();
-        let t_meta = template.meta();
-        let (aligned, temps) = self.align(&t_meta);
-        let (program, inputs) = self.lower(&aligned);
-        let kernel = ctx.register_kernel_program(program);
-        let out = ctx.alloc_id();
-        // dtype: mirror the worker-side inference conservatively as f64
-        // unless the program is all-integer (master keeps it simple and
-        // trusts the worker, recording f64 for mixed programs).
-        let out_dtype = self.infer_dtype();
-        ctx.send_cmd(&Cmd::EvalKernel {
-            out,
-            kernel,
-            template: template.id(),
-            inputs,
-            out_dtype,
-            reduce: None,
-            // Lowered expressions compute in f64 regardless of out_dtype;
-            // workers may tier up to the probed native body when one is
-            // available (first worker to arrive compiles, the rest hit
-            // the process-global cache).
-            dtype: DType::F64,
-            native: true,
-        });
-        let out_meta = ArrayMeta {
-            dtype: out_dtype,
-            ..t_meta
-        };
-        ctx.record_meta(out, out_meta);
-        drop(temps);
-        DistArray::from_id(ctx, out)
+        let mut p = self.template().ctx().trace();
+        let e = self.traced(&mut p);
+        let t = p.assign(e);
+        p.run(&[t]).array(t)
     }
 
-    /// Evaluate on the interpreted RPN plane (the pre-JIT fused path):
-    /// one control message carrying the whole program, one chunked
-    /// interpreted pass. Kept as the bitwise parity baseline for the
-    /// kernel plane (experiment E20) and for contexts that want to avoid
-    /// kernel registration entirely.
+    /// Evaluate with the reference evaluator: an independent per-element
+    /// f64 walk of the expression tree on each worker's segment (through
+    /// the local-function plane), sharing no code with the lowering, the
+    /// VM or native codegen — the baseline the kernel planes' bitwise
+    /// gates compare against. `x ** c` uses `powi` only for a constant
+    /// small integral `c` (the rule the lowering applies), `powf`
+    /// otherwise; non-conformable operands align to the template's
+    /// distribution first.
     pub fn eval_rpn(&self) -> DistArray<'c> {
-        let template = self
-            .first_leaf()
-            .expect("expression needs at least one array operand");
+        let template = self.template();
         let ctx = template.ctx();
         let t_meta = template.meta();
-        let (aligned, temps) = self.align(&t_meta);
-        let mut program = Vec::new();
-        self.compile(&aligned, &mut program);
+        let mut leaves = Vec::new();
+        self.collect_leaves(&mut leaves);
+        let mut distinct: Vec<&DistArray<'c>> = Vec::new();
+        for leaf in leaves {
+            assert_eq!(
+                leaf.meta().shape,
+                t_meta.shape,
+                "fused operands must share a shape"
+            );
+            if distinct.iter().all(|d| d.id() != leaf.id()) {
+                distinct.push(leaf);
+            }
+        }
+        let moved: Vec<Option<DistArray<'c>>> = distinct
+            .iter()
+            .map(|a| (!a.meta().conformable(&t_meta)).then(|| a.redistribute(t_meta.dist)))
+            .collect();
+        let ids: Vec<u64> = distinct.iter().map(|a| a.id()).collect();
+        let tree = RefNode::of(self, &ids);
         let out = ctx.alloc_id();
-        let out_dtype = self.infer_dtype();
-        ctx.send_cmd(&Cmd::EvalFused {
-            out,
-            template: template.id(),
-            program,
-        });
         let out_meta = ArrayMeta {
-            dtype: out_dtype,
+            dtype: self.infer_dtype(),
             ..t_meta
         };
-        ctx.record_meta(out, out_meta);
-        drop(temps);
+        ctx.record_meta(out, out_meta.clone());
+        let f: LocalFn = Arc::new(move |scope, arrays, _| {
+            let values: Vec<f64> = {
+                let cols: Vec<&Buffer> = arrays.iter().map(|&id| scope.local(id)).collect();
+                (0..cols[0].len()).map(|i| tree.at(&cols, i)).collect()
+            };
+            let data = Buffer::F64(values).astype(out_meta.dtype);
+            scope.insert(out, out_meta.clone(), data);
+        });
+        let args: Vec<&DistArray<'c>> = distinct
+            .iter()
+            .zip(&moved)
+            .map(|(&a, m)| m.as_ref().unwrap_or(a))
+            .collect();
+        ctx.run_local(&args, &[], f);
+        drop(moved);
         DistArray::from_id(ctx, out)
     }
 
     /// Fused map+reduce: evaluate the expression and fold it to a scalar
-    /// in the same pass over each segment — the mapped array is never
-    /// materialized. Bitwise-identical to `self.eval()` followed by the
-    /// matching array reduction.
+    /// in the same pass over each segment (a one-statement trace) — the
+    /// mapped array is never materialized. Bitwise-identical to
+    /// `self.eval()` followed by the matching array reduction.
     pub fn reduce(&self, kind: ReduceKind) -> f64 {
-        let template = self
-            .first_leaf()
-            .expect("expression needs at least one array operand");
-        let ctx = template.ctx();
-        let t_meta = template.meta();
-        let (aligned, temps) = self.align(&t_meta);
-        let (program, inputs) = self.lower(&aligned);
-        let kernel = ctx.register_kernel_program(program);
-        let pending = ctx.dispatch_single::<f64>(&Cmd::EvalKernel {
-            out: 0,
-            kernel,
-            template: template.id(),
-            inputs,
-            out_dtype: DType::F64,
-            reduce: Some(kind),
-            dtype: DType::F64,
-            native: true,
-        });
-        let v = pending.wait();
-        drop(temps);
-        v
+        let mut p = self.template().ctx().trace();
+        let e = self.traced(&mut p);
+        let s = p.reduce(e, kind);
+        p.run(&[]).scalar(s)
     }
 
     /// Sum of the evaluated expression, fused into the map pass.
@@ -358,7 +280,7 @@ impl<'x, 'c> Expr<'x, 'c> {
                 let rv = r.eval_node();
                 match (lv, rv) {
                     (NodeVal::Scalar(a), NodeVal::Scalar(b)) => {
-                        NodeVal::Scalar(crate::buffer::binop_f64(*op, a, b))
+                        NodeVal::Scalar(scalar_binary(*op, a, b))
                     }
                     (NodeVal::Scalar(s), rv) => {
                         NodeVal::Arr(rv.as_ref().binary_scalar(s, *op, true))
@@ -373,27 +295,70 @@ impl<'x, 'c> Expr<'x, 'c> {
     }
 }
 
-/// Expression → Seamless bytecode lowering state.
+/// The reference evaluator's owned copy of an expression tree (leaves
+/// index the local function's array arguments), walked once per element.
+enum RefNode {
+    Leaf(usize),
+    Scalar(f64),
+    Unary(UnaryOp, Box<RefNode>),
+    Binary(BinOp, Box<RefNode>, Box<RefNode>),
+}
+
+impl RefNode {
+    fn of(e: &Expr<'_, '_>, ids: &[u64]) -> RefNode {
+        match e {
+            Expr::Leaf(a) => RefNode::Leaf(
+                ids.iter()
+                    .position(|&id| id == a.id())
+                    .expect("every leaf is an argument"),
+            ),
+            Expr::Scalar(v) => RefNode::Scalar(*v),
+            Expr::Unary(op, e) => RefNode::Unary(*op, Box::new(RefNode::of(e, ids))),
+            Expr::Binary(op, a, b) => RefNode::Binary(
+                *op,
+                Box::new(RefNode::of(a, ids)),
+                Box::new(RefNode::of(b, ids)),
+            ),
+        }
+    }
+
+    /// Value at element `i` of the segments `cols`.
+    fn at(&self, cols: &[&Buffer], i: usize) -> f64 {
+        match self {
+            RefNode::Leaf(k) => cols[*k].get_f64(i),
+            RefNode::Scalar(v) => *v,
+            RefNode::Unary(op, a) => scalar_unary(*op, a.at(cols, i)),
+            RefNode::Binary(op, a, b) => {
+                let x = a.at(cols, i);
+                match (op, b.as_ref()) {
+                    (BinOp::Pow, RefNode::Scalar(c)) if c.fract() == 0.0 && c.abs() <= 8.0 => {
+                        x.powi(*c as i32)
+                    }
+                    _ => scalar_binary(*op, x, b.at(cols, i)),
+                }
+            }
+        }
+    }
+}
+
+/// Expression → Seamless bytecode emitters, used by the whole-program
+/// lowering ([`crate::program`]).
 ///
 /// Produces straight-line code over the F/I register files. Every opcode
-/// choice mirrors the interpreted RPN plane's arithmetic exactly
-/// (`fused_unary_chunk` / `fused_binary_chunk` in `context.rs`) so the
-/// two planes stay bitwise-identical: comparisons and logic ops produce
-/// 0.0/1.0 through integer compares, `Mod` uses Rust `%` ([`Instr::RemF`],
-/// not the VM's Python-modulo `ModF`), and `x ** c` for small integral
-/// constants strength-reduces to [`Instr::PowIC`] just like the RPN
-/// interpreter does at runtime.
+/// choice matches the reference evaluator's f64 arithmetic
+/// ([`Expr::eval_rpn`]) so the two stay bitwise-identical: comparisons
+/// and logic ops produce 0.0/1.0 through integer compares, `Mod` uses
+/// Rust `%` ([`Instr::RemF`], not the VM's Python-modulo `ModF`), and
+/// `x ** c` for small integral constants strength-reduces to
+/// [`Instr::PowIC`] (`powi`).
 pub(crate) struct Lowerer {
-    /// Aligned leaf array id → F parameter register.
-    pub(crate) params: HashMap<u64, Reg>,
     pub(crate) instrs: Vec<Instr>,
     pub(crate) n_f: Reg,
     pub(crate) n_i: Reg,
 }
 
-/// `x ** c` strength-reduction eligibility, shared by every lowering
-/// plane (RPN chunks, single-expression JIT, whole-program JIT): small
-/// integral exponents run as [`Instr::PowIC`].
+/// `x ** c` strength-reduction eligibility: small integral constant
+/// exponents run as [`Instr::PowIC`].
 pub(crate) fn powic_exponent(c: f64) -> Option<i32> {
     if c.fract() == 0.0 && c.abs() <= 8.0 {
         Some(c as i32)
@@ -404,10 +369,9 @@ pub(crate) fn powic_exponent(c: f64) -> Option<i32> {
 
 impl Lowerer {
     /// Fresh lowering state with the first `n_params` F registers bound
-    /// to parameters (the caller owns the id → register map).
-    pub(crate) fn with_params(params: HashMap<u64, Reg>, n_params: usize) -> Self {
+    /// to parameters.
+    pub(crate) fn new(n_params: usize) -> Self {
         Lowerer {
-            params,
             instrs: Vec::new(),
             n_f: n_params as Reg,
             n_i: 0,
@@ -472,7 +436,7 @@ impl Lowerer {
             Floor => m1(MathFn::Floor, self),
             Ceil => m1(MathFn::Ceil, self),
             Not => {
-                // f64::from(x == 0.0), like the RPN interpreter
+                // f64::from(x == 0.0), like the reference evaluator
                 let z = self.zero_f();
                 let i = self.fresh_i();
                 self.instrs.push(Instr::CmpF(Cmp::Eq, i, s, z));
@@ -560,35 +524,6 @@ impl Lowerer {
             }
         }
     }
-
-    /// Lower one node; returns the F register holding its value.
-    fn go(&mut self, e: &Expr<'_, '_>, aligned: &HashMap<u64, u64>) -> Reg {
-        match e {
-            Expr::Leaf(a) => {
-                let id = aligned.get(&a.id()).copied().unwrap_or_else(|| a.id());
-                self.params[&id]
-            }
-            Expr::Scalar(v) => self.emit_const(*v),
-            Expr::Unary(op, e) => {
-                let s = self.go(e, aligned);
-                self.emit_unary(*op, s)
-            }
-            Expr::Binary(op, l, r) => {
-                // `x ** c` with a small integral constant exponent:
-                // strength-reduce to powi without materializing the rhs,
-                // exactly as the RPN plane does for uniform chunks.
-                if let (BinOp::Pow, Expr::Scalar(c)) = (op, r.as_ref()) {
-                    if let Some(e) = powic_exponent(*c) {
-                        let a = self.go(l, aligned);
-                        return self.emit_pow_const(a, e);
-                    }
-                }
-                let a = self.go(l, aligned);
-                let b = self.go(r, aligned);
-                self.emit_binary(*op, a, b)
-            }
-        }
-    }
 }
 
 enum NodeVal<'x, 'c> {
@@ -638,6 +573,21 @@ fn scalar_unary(op: UnaryOp, v: f64) -> f64 {
         Sqrt => v.sqrt(),
         Floor => v.floor(),
         Ceil => v.ceil(),
+    }
+}
+
+fn scalar_binary(op: BinOp, x: f64, y: f64) -> f64 {
+    use BinOp::*;
+    match op {
+        Eq => f64::from(u8::from(x == y)),
+        Ne => f64::from(u8::from(x != y)),
+        Lt => f64::from(u8::from(x < y)),
+        Le => f64::from(u8::from(x <= y)),
+        Gt => f64::from(u8::from(x > y)),
+        Ge => f64::from(u8::from(x >= y)),
+        And => f64::from(u8::from(x != 0.0 && y != 0.0)),
+        Or => f64::from(u8::from(x != 0.0 || y != 0.0)),
+        _ => binop_f64(op, x, y),
     }
 }
 
@@ -724,12 +674,31 @@ mod tests {
         let ctx = OdinContext::with_workers(2);
         let x = ctx.arange(6);
         let r = (Expr::leaf(&x) * 2.0 + 1.0).eval();
-        assert_eq!(r.dtype(), crate::buffer::DType::I64);
+        assert_eq!(r.dtype(), DType::I64);
         assert_eq!(r.to_vec_i64(), vec![1, 3, 5, 7, 9, 11]);
+        // sqrt promotes, a comparison is bool — on the kernel plane and
+        // the reference evaluator alike
+        let f = ctx.linspace(0.0, 1.0, 6);
+        for (e, dtype) in [
+            (Expr::leaf(&x) + Expr::leaf(&x), DType::I64),
+            (Expr::leaf(&x).sqrt(), DType::F64),
+            (
+                Expr::Binary(
+                    BinOp::Gt,
+                    Box::new(Expr::leaf(&f)),
+                    Box::new(Expr::scalar(0.5)),
+                ),
+                DType::Bool,
+            ),
+        ] {
+            let (jit, reference) = (e.eval(), e.eval_rpn());
+            assert_eq!((jit.dtype(), reference.dtype()), (dtype, dtype));
+            assert_eq!(jit.to_vec(), reference.to_vec());
+        }
     }
 
     #[test]
-    fn jitted_matches_interpreted_rpn_bitwise() {
+    fn jitted_matches_the_reference_bitwise() {
         let ctx = OdinContext::with_workers(3);
         let x = ctx.linspace(0.0, 2.0, 103);
         let y = ctx.linspace(1.0, 3.0, 103);
@@ -741,9 +710,9 @@ mod tests {
                 + (Expr::leaf(&y) % 0.7)
         };
         let jit = make().eval().to_vec();
-        let rpn = make().eval_rpn().to_vec();
+        let reference = make().eval_rpn().to_vec();
         for i in 0..jit.len() {
-            assert_eq!(jit[i].to_bits(), rpn[i].to_bits(), "lane {i}");
+            assert_eq!(jit[i].to_bits(), reference[i].to_bits(), "lane {i}");
         }
     }
 
@@ -754,7 +723,7 @@ mod tests {
         let a = (Expr::leaf(&x) * 2.0 + 1.0).eval();
         ctx.reset_stats();
         let b = (Expr::leaf(&x) * 2.0 + 1.0).eval();
-        // second eval reuses the registered kernel: one EvalKernel
+        // second eval reuses the registered kernel: one kernel launch
         // broadcast only, well under 100 bytes
         let s = ctx.stats();
         assert_eq!(s.ctrl_msgs, 2);

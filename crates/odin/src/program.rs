@@ -3,7 +3,9 @@
 //! A [`Program`] records multi-statement lazy computations — expression
 //! assignments, reductions, redistributes — into an interned dataflow
 //! graph instead of executing them eagerly. [`Program::run`] then
-//! optimizes across statements before touching the workers:
+//! optimizes across statements before touching the workers. This is the
+//! only lowering path: [`Expr::eval`](crate::lazy::Expr::eval) and the
+//! `Expr` reductions run as one-statement traces.
 //!
 //! - **cross-statement fusion**: producer/consumer elementwise statements
 //!   with the same template geometry merge into one Seamless kernel (one
@@ -13,17 +15,16 @@
 //!   compiles and runs once,
 //! - **DSE**: statements whose results are never read and never requested
 //!   as outputs don't launch at all,
-//! - **communication-avoiding scheduling**: the eager per-expression leaf
-//!   redistribute done inside `Expr::eval` is deferred and pooled, so a
-//!   non-conformable operand consumed by N statements moves at most once
-//!   per target distribution (through the same cached-route redistribute
-//!   machinery).
+//! - **communication-avoiding scheduling**: alignment redistributes are
+//!   pooled, so a non-conformable operand consumed by N statements moves
+//!   at most once per target distribution (through the same cached-route
+//!   redistribute machinery).
 //!
-//! Execution stays **bitwise-identical** to statement-at-a-time
-//! [`Expr::eval`](crate::lazy::Expr::eval): fused kernels reuse the exact
-//! same `Lowerer` emitters (same FP operation order per statement), and
+//! Execution stays **bitwise-identical** to running each statement as its
+//! own trace (statement-at-a-time `Expr::eval`): every statement lowers
+//! through the same `Lowerer` emitters (same FP operation order), and
 //! fusing across a non-F64 intermediate inserts the materialize/stage
-//! round-trip cast the eager path would have performed. The one
+//! round-trip cast a separate statement would have performed. The one
 //! documented divergence: a reduction result consumed via
 //! [`Program::reduce`] + [`PExpr::from`] is typed `F64`, while pasting
 //! the same value back in as an integral `Expr::Scalar` literal would
@@ -85,9 +86,15 @@ impl PExpr {
         }
     }
 
-    fn un(self, op: UnaryOp) -> Self {
+    pub(crate) fn un(self, op: UnaryOp) -> Self {
         PExpr {
             node: PNode::Unary(op, Box::new(self.node)),
+        }
+    }
+
+    pub(crate) fn bin(self, op: BinOp, rhs: PExpr) -> Self {
+        PExpr {
+            node: PNode::Binary(op, Box::new(self.node), Box::new(rhs.node)),
         }
     }
 
@@ -128,23 +135,17 @@ impl PExpr {
         self.un(UnaryOp::Ceil)
     }
     /// Power with a scalar exponent (small integral exponents
-    /// strength-reduce exactly like the single-expression planes).
+    /// strength-reduce to `powi`).
     pub fn pow(self, e: f64) -> Self {
-        PExpr {
-            node: PNode::Binary(BinOp::Pow, Box::new(self.node), Box::new(PNode::Scalar(e))),
-        }
+        self.bin(BinOp::Pow, PExpr::scalar(e))
     }
     /// Elementwise maximum.
     pub fn max_with(self, rhs: PExpr) -> Self {
-        PExpr {
-            node: PNode::Binary(BinOp::Max, Box::new(self.node), Box::new(rhs.node)),
-        }
+        self.bin(BinOp::Max, rhs)
     }
     /// Elementwise minimum.
     pub fn min_with(self, rhs: PExpr) -> Self {
-        PExpr {
-            node: PNode::Binary(BinOp::Min, Box::new(self.node), Box::new(rhs.node)),
-        }
+        self.bin(BinOp::Min, rhs)
     }
 }
 
@@ -175,17 +176,13 @@ macro_rules! pexpr_binop {
         impl std::ops::$trait for PExpr {
             type Output = PExpr;
             fn $method(self, rhs: PExpr) -> PExpr {
-                PExpr {
-                    node: PNode::Binary($op, Box::new(self.node), Box::new(rhs.node)),
-                }
+                self.bin($op, rhs)
             }
         }
         impl std::ops::$trait<f64> for PExpr {
             type Output = PExpr;
             fn $method(self, rhs: f64) -> PExpr {
-                PExpr {
-                    node: PNode::Binary($op, Box::new(self.node), Box::new(PNode::Scalar(rhs))),
-                }
+                self.bin($op, PExpr::scalar(rhs))
             }
         }
     };
@@ -222,7 +219,7 @@ struct Node {
     key: NodeKey,
     dtype: DType,
     /// Node id of the leftmost array operand below (or at) this node —
-    /// the statement-template rule `Expr::eval` uses, propagated.
+    /// the statement-template rule, propagated.
     tref: Option<usize>,
 }
 
@@ -311,7 +308,7 @@ enum ArrayInput {
 }
 
 /// Distinct operands of one statement, in first-seen left-to-right order
-/// (the parameter-binding order `Expr::lower` uses).
+/// (the parameter-binding order).
 struct StmtInputs {
     arrays: Vec<ArrayInput>,
     scalars: Vec<usize>,
@@ -447,14 +444,13 @@ impl<'x, 'c> Program<'x, 'c> {
     }
 
     /// Template meta for a statement rooted at `root`: the leftmost array
-    /// operand's geometry with the expression's result dtype — exactly
-    /// the rule `Expr::eval` applies per statement.
+    /// operand's geometry with the expression's result dtype.
     fn stmt_meta(&self, root: usize) -> ArrayMeta {
         let t = self.nodes[root]
             .tref
             .expect("traced statement needs at least one array operand");
         let t_meta = self.operand_meta(t);
-        // Mirror Expr::align's shape assertion for every array operand.
+        // Every array operand must share the template's shape.
         let inputs = self.node_inputs(root);
         for a in &inputs.arrays {
             assert_eq!(
@@ -549,7 +545,7 @@ impl<'x, 'c> Program<'x, 'c> {
     }
 
     /// Distinct array/scalar operands reachable from `root`, first-seen
-    /// left-to-right (DFS matching `Lowerer::go`'s emission order).
+    /// left-to-right (DFS matching `emit_node`'s emission order).
     fn node_inputs(&self, root: usize) -> StmtInputs {
         let mut arrays = Vec::new();
         let mut scalars = Vec::new();
@@ -822,7 +818,10 @@ impl<'x, 'c> Program<'x, 'c> {
                         match self.stmts[s].kind {
                             StmtKind::Reduce { kind, .. } => {
                                 reduce_stmts.push(s);
-                                outs.push(KernelOut::Reduce { kind, reg });
+                                outs.push(KernelOut::Reduce {
+                                    kind,
+                                    reg: (RegFile::F, reg),
+                                });
                             }
                             StmtKind::Eval { .. } => {
                                 let id = ctx.alloc_id();
@@ -831,7 +830,7 @@ impl<'x, 'c> Program<'x, 'c> {
                                 outs.push(KernelOut::Array {
                                     id,
                                     dtype: self.stmts[s].out_meta.dtype,
-                                    reg,
+                                    reg: (RegFile::F, reg),
                                 });
                             }
                             StmtKind::Redistribute { .. } => unreachable!(),
@@ -903,12 +902,12 @@ impl<'x, 'c> Program<'x, 'c> {
         }
     }
 
-    /// Lower one fused group to straight-line bytecode through the shared
-    /// [`Lowerer`] emitters — per statement, exactly the instructions
-    /// `Expr::lower` would emit, with shared subexpressions emitted once
-    /// and cross-statement refs either read from the producer's register
-    /// (plus the materialize/stage cast when its dtype isn't F64) or
-    /// bound as parameters.
+    /// Lower one fused group to straight-line bytecode through the
+    /// [`Lowerer`] emitters — per statement, the instructions a
+    /// one-statement trace would emit, with shared subexpressions emitted
+    /// once and cross-statement refs either read from the producer's
+    /// register (plus the materialize/stage cast when its dtype isn't
+    /// F64) or bound as parameters.
     fn lower_group(
         &self,
         group: &Group,
@@ -954,7 +953,7 @@ impl<'x, 'c> Program<'x, 'c> {
             .enumerate()
             .map(|(k, &d)| (d, (n_arr + k) as Reg))
             .collect();
-        let mut lw = Lowerer::with_params(HashMap::new(), n_params);
+        let mut lw = Lowerer::new(n_params);
         let mut memo: HashMap<usize, Reg> = HashMap::new();
         let mut root_regs: HashMap<usize, Reg> = HashMap::new();
         for &s in &group.stmts {
@@ -982,8 +981,6 @@ impl<'x, 'c> Program<'x, 'c> {
         let ret = outs.last().expect("non-empty").1;
         lw.instrs.push(Instr::Ret(Some((RegFile::F, ret))));
         let f = CompiledFunc {
-            // Same name as Expr::lower: a single-statement group produces
-            // byte-identical code and re-uses its kernel registration.
             name: "expr".into(),
             params: (0..n_params).map(|k| (RegFile::F, k as Reg)).collect(),
             param_types: vec![Type::Float; n_params],

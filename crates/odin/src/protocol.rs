@@ -9,6 +9,7 @@ use comm::{CommError, Cursor, Wire};
 
 use crate::buffer::{Buffer, DType};
 use crate::slicing::SliceSpec;
+use seamless::bytecode::{Reg, RegFile};
 
 /// Distribution of the distributed axis (mirrors [`dmap::Distribution`]
 /// but is wire-encodable).
@@ -207,20 +208,6 @@ pub enum Fill {
     },
 }
 
-/// One step of a fused elementwise program (RPN over a per-element stack):
-/// the compiled form of a lazy expression (§III loop fusion).
-#[derive(Debug, Clone, PartialEq)]
-pub enum FusedOp {
-    /// Push the element of the given array.
-    PushArray(u64),
-    /// Push a constant.
-    PushScalar(f64),
-    /// Apply a unary op to the stack top.
-    Unary(UnaryOp),
-    /// Apply a binary op to the top two entries (pushed left-to-right).
-    Binary(BinOp),
-}
-
 /// One worker→master reply. Control replies and small results travel as
 /// encoded wire bytes; whole array segments (the `Fetch` gather — the
 /// heaviest master-bound mover) at or above the comm's zero-copy
@@ -354,15 +341,6 @@ pub enum Cmd {
         /// Per-dimension slice specs.
         specs: Vec<SliceSpec>,
     },
-    /// Evaluate a fused elementwise program over conformable inputs.
-    EvalFused {
-        /// Output id.
-        out: u64,
-        /// Template array id (defines the output meta before dtype).
-        template: u64,
-        /// RPN program.
-        program: Vec<FusedOp>,
-    },
     /// Reduce `a`; worker 0 replies with the scalar (axis `None`) or the
     /// workers cooperatively build array `out` (axis `Some`).
     Reduce {
@@ -443,7 +421,7 @@ pub enum Cmd {
         b: u64,
     },
     /// Ship compiled Seamless bytecode to every worker once; subsequent
-    /// [`Cmd::EvalKernel`] invokes reference it by id (the kernel plane,
+    /// [`Cmd::EvalKernelMulti`] launches reference it by id (the kernel plane,
     /// DESIGN §10). This is the only command besides `SetData` whose size
     /// scales with its payload — it is paid once per kernel per pool.
     RegisterKernel {
@@ -452,38 +430,15 @@ pub enum Cmd {
         /// Extern-free compiled program (entry function at index 0).
         program: seamless::bytecode::Program,
     },
-    /// Run a registered kernel elementwise over conformable inputs —
-    /// tens of bytes of control traffic per invoke, like every other
-    /// command. With `reduce` set, the map and the reduction run as one
-    /// pass with no materialized intermediate (`out` is then unused and
-    /// worker 0 replies with the scalar).
-    EvalKernel {
-        /// Output id (ignored when `reduce` is `Some`).
-        out: u64,
-        /// Registered kernel id.
-        kernel: u64,
-        /// Template array id (defines the output meta before dtype).
-        template: u64,
-        /// Input array ids, in kernel-parameter order.
-        inputs: Vec<u64>,
-        /// Output dtype (the master decides; workers astype).
-        out_dtype: DType,
-        /// Fused reduction tail, if any.
-        reduce: Option<ReduceKind>,
-        /// Compute dtype — which monomorphization runs: `F64` stages f64
-        /// rows through `run_f64_chunk`, `I64`/`Bool` stage i64 rows
-        /// through `run_i64_chunk`. Independent of `out_dtype`.
-        dtype: DType,
-        /// Whether the worker may dispatch the probed native tier for
-        /// this invoke (`false` pins the VM, e.g. `Tier::Vm` kernels).
-        native: bool,
-    },
-    /// Run a registered kernel once and harvest *several* register rows:
-    /// the whole-program optimizer (DESIGN §14) fuses a group of traced
-    /// statements into one function, so one launch can materialize many
-    /// arrays and fold many reductions. Workers reply with the reduction
-    /// scalars (rank 0, in `outs` order) iff any [`KernelOut::Reduce`]
-    /// is present.
+    /// Run a registered kernel elementwise over conformable inputs and
+    /// harvest K ≥ 1 register rows — the one elementwise kernel command.
+    /// `Kernel::map` harvests the return register as one array,
+    /// `Kernel::map_reduce` folds it as one reduction, and a fused trace
+    /// group (DESIGN §14) materializes many arrays and folds many
+    /// reductions from one launch. Tens of bytes of control traffic per
+    /// launch, like every other command. Workers reply with the
+    /// reduction scalars (rank 0, in `outs` order) iff any
+    /// [`KernelOut::Reduce`] is present.
     EvalKernelMulti {
         /// Registered kernel id.
         kernel: u64,
@@ -496,33 +451,44 @@ pub enum Cmd {
         scalars: Vec<f64>,
         /// What to harvest from the evaluated register file.
         outs: Vec<KernelOut>,
-        /// Compute dtype of the fused body (traces are f64 today, but
-        /// the tag keeps the two kernel commands symmetric on the wire).
+        /// Compute dtype — which monomorphization runs: `F64` stages f64
+        /// rows, `I64`/`Bool` stage i64 rows (bools as 0/1).
         dtype: DType,
-        /// Whether the worker may dispatch the probed native tier.
+        /// Whether the worker may dispatch the probed native tier for
+        /// this launch (`false` pins the VM, e.g. `Tier::Vm` kernels).
         native: bool,
     },
 }
 
-/// One harvested output of a fused multi-statement kernel launch.
+/// One harvested output of a kernel launch: a register (float or integer
+/// file) read after the body, materialized or folded.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KernelOut {
-    /// Materialize a float-register row as a new distributed array.
+    /// Materialize a register row as a new distributed array.
     Array {
         /// Output array id.
         id: u64,
-        /// Output dtype (workers astype the raw f64 row).
+        /// Output dtype (workers astype the harvested row).
         dtype: DType,
-        /// Float register holding the statement's root value.
-        reg: u16,
+        /// Register holding the statement's root value.
+        reg: (RegFile, Reg),
     },
-    /// Fold a float-register row through a whole-array reduction.
+    /// Fold a register row through a whole-array reduction.
     Reduce {
         /// Reduction kind.
         kind: ReduceKind,
-        /// Float register holding the reduced expression's raw value.
-        reg: u16,
+        /// Register holding the reduced expression's raw value.
+        reg: (RegFile, Reg),
     },
+}
+
+impl KernelOut {
+    /// The harvested register.
+    pub fn reg(&self) -> (RegFile, Reg) {
+        match *self {
+            KernelOut::Array { reg, .. } | KernelOut::Reduce { reg, .. } => reg,
+        }
+    }
 }
 
 impl Wire for KernelOut {
@@ -547,11 +513,11 @@ impl Wire for KernelOut {
             0 => Ok(KernelOut::Array {
                 id: u64::decode(cur)?,
                 dtype: DType::decode(cur)?,
-                reg: u16::decode(cur)?,
+                reg: <(RegFile, Reg)>::decode(cur)?,
             }),
             1 => Ok(KernelOut::Reduce {
                 kind: ReduceKind::decode(cur)?,
-                reg: u16::decode(cur)?,
+                reg: <(RegFile, Reg)>::decode(cur)?,
             }),
             b => Err(CommError::Decode(format!("bad KernelOut byte {b}"))),
         }
@@ -704,38 +670,6 @@ impl Wire for Fill {
     }
 }
 
-impl Wire for FusedOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            FusedOp::PushArray(id) => {
-                buf.push(0);
-                id.encode(buf);
-            }
-            FusedOp::PushScalar(v) => {
-                buf.push(1);
-                v.encode(buf);
-            }
-            FusedOp::Unary(op) => {
-                buf.push(2);
-                op.encode(buf);
-            }
-            FusedOp::Binary(op) => {
-                buf.push(3);
-                op.encode(buf);
-            }
-        }
-    }
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, CommError> {
-        match u8::decode(cur)? {
-            0 => Ok(FusedOp::PushArray(u64::decode(cur)?)),
-            1 => Ok(FusedOp::PushScalar(f64::decode(cur)?)),
-            2 => Ok(FusedOp::Unary(UnaryOp::decode(cur)?)),
-            3 => Ok(FusedOp::Binary(BinOp::decode(cur)?)),
-            b => Err(CommError::Decode(format!("bad fusedop byte {b}"))),
-        }
-    }
-}
-
 impl Wire for Cmd {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -797,16 +731,6 @@ impl Wire for Cmd {
                 a.encode(buf);
                 specs.encode(buf);
             }
-            Cmd::EvalFused {
-                out,
-                template,
-                program,
-            } => {
-                buf.push(8);
-                out.encode(buf);
-                template.encode(buf);
-                program.encode(buf);
-            }
             Cmd::Reduce { a, kind, axis, out } => {
                 buf.push(9);
                 a.encode(buf);
@@ -867,26 +791,6 @@ impl Wire for Cmd {
                 buf.push(20);
                 id.encode(buf);
                 program.encode(buf);
-            }
-            Cmd::EvalKernel {
-                out,
-                kernel,
-                template,
-                inputs,
-                out_dtype,
-                reduce,
-                dtype,
-                native,
-            } => {
-                buf.push(21);
-                out.encode(buf);
-                kernel.encode(buf);
-                template.encode(buf);
-                inputs.encode(buf);
-                out_dtype.encode(buf);
-                reduce.encode(buf);
-                dtype.encode(buf);
-                native.encode(buf);
             }
             Cmd::EvalKernelMulti {
                 kernel,
@@ -955,11 +859,6 @@ impl Wire for Cmd {
                 a: u64::decode(cur)?,
                 specs: Vec::decode(cur)?,
             }),
-            8 => Ok(Cmd::EvalFused {
-                out: u64::decode(cur)?,
-                template: u64::decode(cur)?,
-                program: Vec::decode(cur)?,
-            }),
             9 => Ok(Cmd::Reduce {
                 a: u64::decode(cur)?,
                 kind: ReduceKind::decode(cur)?,
@@ -1006,16 +905,6 @@ impl Wire for Cmd {
             20 => Ok(Cmd::RegisterKernel {
                 id: u64::decode(cur)?,
                 program: seamless::bytecode::Program::decode(cur)?,
-            }),
-            21 => Ok(Cmd::EvalKernel {
-                out: u64::decode(cur)?,
-                kernel: u64::decode(cur)?,
-                template: u64::decode(cur)?,
-                inputs: Vec::decode(cur)?,
-                out_dtype: DType::decode(cur)?,
-                reduce: Option::<ReduceKind>::decode(cur)?,
-                dtype: DType::decode(cur)?,
-                native: bool::decode(cur)?,
             }),
             22 => Ok(Cmd::EvalKernelMulti {
                 kernel: u64::decode(cur)?,
@@ -1114,16 +1003,6 @@ mod tests {
                 a: 11,
                 specs: vec![SliceSpec::new(1, 99, 1), SliceSpec::new(0, 4, 2)],
             },
-            Cmd::EvalFused {
-                out: 13,
-                template: 7,
-                program: vec![
-                    FusedOp::PushArray(7),
-                    FusedOp::PushScalar(2.0),
-                    FusedOp::Binary(BinOp::Pow),
-                    FusedOp::Unary(UnaryOp::Sqrt),
-                ],
-            },
             Cmd::Reduce {
                 a: 13,
                 kind: ReduceKind::Sum,
@@ -1158,26 +1037,6 @@ mod tests {
             Cmd::RegisterKernel {
                 id: 1,
                 program: tiny_program(),
-            },
-            Cmd::EvalKernel {
-                out: 22,
-                kernel: 1,
-                template: 7,
-                inputs: vec![7, 8],
-                out_dtype: DType::F64,
-                reduce: Some(ReduceKind::Sum),
-                dtype: DType::F64,
-                native: true,
-            },
-            Cmd::EvalKernel {
-                out: 23,
-                kernel: 2,
-                template: 7,
-                inputs: vec![7],
-                out_dtype: DType::Bool,
-                reduce: None,
-                dtype: DType::I64,
-                native: false,
             },
         ];
         for cmd in cmds {
@@ -1231,23 +1090,51 @@ mod tests {
     #[test]
     fn kernel_invokes_are_small() {
         // The kernel plane's claim: bytecode ships once via RegisterKernel;
-        // every subsequent invoke is under 100 bytes of control traffic
-        // even with several inputs and a reduction tail.
-        let invoke = encode_to_vec(&Cmd::EvalKernel {
-            out: u64::MAX,
-            kernel: u64::MAX - 1,
-            template: u64::MAX - 2,
-            inputs: vec![1, 2, 3],
-            out_dtype: DType::F64,
-            reduce: Some(ReduceKind::Sum),
-            dtype: DType::F64,
-            native: true,
-        });
-        assert!(
-            invoke.len() < 100,
-            "kernel invoke too big: {} bytes",
-            invoke.len()
-        );
+        // every subsequent single-output launch — a map (array output) or
+        // a map_reduce (reduction output) — is under 100 bytes of control
+        // traffic even with several inputs.
+        let out_variants = [
+            KernelOut::Array {
+                id: u64::MAX - 3,
+                dtype: DType::F64,
+                reg: (RegFile::F, u16::MAX),
+            },
+            KernelOut::Reduce {
+                kind: ReduceKind::Sum,
+                reg: (RegFile::I, u16::MAX),
+            },
+        ];
+        for out in out_variants {
+            let invoke = encode_to_vec(&Cmd::EvalKernelMulti {
+                kernel: u64::MAX - 1,
+                template: u64::MAX - 2,
+                inputs: vec![1, 2, 3],
+                scalars: Vec::new(),
+                outs: vec![out],
+                dtype: DType::F64,
+                native: true,
+            });
+            assert!(
+                invoke.len() < 100,
+                "kernel invoke too big: {} bytes ({out:?})",
+                invoke.len()
+            );
+        }
+    }
+
+    #[test]
+    fn retired_kernel_command_tags_are_decode_errors() {
+        // Tags 8 (the interpreted RPN program) and 21 (the single-output
+        // kernel invoke) are retired: a stale peer's bytes must surface
+        // as a typed decode error, never a panic or a misparse.
+        for tag in [8u8, 21] {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&[0u8; 32]);
+            match decode_from_slice::<Cmd>(&bytes) {
+                Err(CommError::Decode(_)) => {}
+                other => panic!("tag {tag} decoded as {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1263,16 +1150,16 @@ mod tests {
                 KernelOut::Array {
                     id: 100,
                     dtype: DType::F64,
-                    reg: 4,
+                    reg: (RegFile::F, 4),
                 },
                 KernelOut::Array {
                     id: 101,
-                    dtype: DType::I64,
-                    reg: 9,
+                    dtype: DType::Bool,
+                    reg: (RegFile::I, 9),
                 },
                 KernelOut::Reduce {
                     kind: ReduceKind::Sum,
-                    reg: 6,
+                    reg: (RegFile::F, 6),
                 },
             ],
             dtype: DType::F64,

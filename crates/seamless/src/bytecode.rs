@@ -7,7 +7,7 @@
 use crate::types::Type;
 
 /// Which register file a slot belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegFile {
     /// `f64` scalars.
     F,
@@ -192,8 +192,8 @@ pub enum Instr {
     /// Two-argument float math builtin (`dst = f(a, b)`).
     Math2(Math2Fn, Reg, Reg, Reg),
     /// Float power with a small constant integer exponent, computed via
-    /// `powi` — bitwise-matches the interpreted fused path's strength
-    /// reduction for uniform integral exponents.
+    /// `powi` — bitwise-matches the reference evaluator's strength
+    /// reduction for constant integral exponents.
     PowIC(Reg, Reg, i32),
     /// IEEE float remainder (`dst = a % b`, Rust semantics — sign of the
     /// dividend), as opposed to [`Instr::ModF`]'s Python modulo.
@@ -270,6 +270,19 @@ pub struct CompiledFunc {
     pub reg_counts: [usize; 4],
     /// The code.
     pub instrs: Vec<Instr>,
+}
+
+impl CompiledFunc {
+    /// The return register: the one the function's last scalar `Ret`
+    /// reads. The VM's chunk entry stores every lane's return value
+    /// there, whichever `Ret` ran, so harvesting this register reads the
+    /// return value of branchy bodies too.
+    pub fn ret_reg(&self) -> Option<(RegFile, Reg)> {
+        self.instrs.iter().rev().find_map(|ins| match ins {
+            Instr::Ret(Some(r)) => Some(*r),
+            _ => None,
+        })
+    }
 }
 
 /// A compiled program: the entry function plus everything it calls,

@@ -9,9 +9,9 @@
 //!
 //! 1. every kernel runs on the VM immediately (tier 0 — always correct);
 //! 2. a straight-line, infallible, scalar body is *monomorphized* per
-//!    (kernel, dtype) into a C chunk function
-//!    `void name$dtype$hash(const double* const* in, double* const* out,
-//!    size_t n)` and compiled once per process;
+//!    (kernel, dtype, harvested registers) into a C chunk function
+//!    `void name$dtype$hash(const T* const* in, T* const* out, size_t n)`
+//!    (`T` is `double` or `long long`) and compiled once per process;
 //! 3. the native symbol is swapped in **only after a bitwise-parity
 //!    probe** against the VM on seeded inputs at several widths. Any
 //!    mismatch, compile failure, or unsupported opcode refuses the
@@ -36,29 +36,23 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::bytecode::{Cmp, CompiledFunc, Instr, Math2Fn, MathFn, Program, Reg, RegFile};
 use crate::cmodule;
-use crate::vm::Vm;
+use crate::vm::{Lane, Vm};
 
-/// ABI of a compiled f64 chunk function: `in` points at one full-length
-/// row per kernel parameter, `out` at one row per output register, `n` is
-/// the lane count.
-pub type NativeF64 = unsafe extern "C" fn(*const *const f64, *const *mut f64, usize);
-/// The `i64` twin (bools travel as 0/1).
-pub type NativeI64 = unsafe extern "C" fn(*const *const i64, *const *mut i64, usize);
-
-/// A probed, cached native f64 chunk function plus its arity, wrapped so
-/// callers get slice-checked dispatch instead of raw pointers.
+/// A probed, cached native chunk function over `T` rows: `in` points at
+/// one full-length row per kernel parameter, `out` at one row per
+/// harvested register, `n` is the lane count. Wrapped so callers get
+/// slice-checked dispatch instead of raw pointers.
 #[derive(Clone, Copy)]
-pub struct NativeF64Fn {
-    f: NativeF64,
+pub struct NativeKernel<T: Lane> {
+    f: unsafe extern "C" fn(*const *const T, *const *mut T, usize),
     n_in: usize,
     n_out: usize,
 }
 
-impl NativeF64Fn {
+impl<T: Lane> NativeKernel<T> {
     /// Run the native body over `n` lanes. Panics (like a slice index
-    /// would) if arity or lengths don't line up — callers stage
-    /// full-length rows.
-    pub fn run(&self, inputs: &[&[f64]], outs: &mut [&mut [f64]], n: usize) {
+    /// would) if arity or lengths don't line up.
+    pub fn run(&self, inputs: &[&[T]], outs: &mut [&mut [T]], n: usize) {
         assert_eq!(inputs.len(), self.n_in, "native kernel input arity");
         assert_eq!(outs.len(), self.n_out, "native kernel output arity");
         assert!(
@@ -72,46 +66,20 @@ impl NativeF64Fn {
         if n == 0 {
             return;
         }
-        let in_ptrs: Vec<*const f64> = inputs.iter().map(|r| r.as_ptr()).collect();
-        let out_ptrs: Vec<*mut f64> = outs.iter_mut().map(|r| r.as_mut_ptr()).collect();
-        // SAFETY: the symbol was compiled for exactly n_in/n_out rows, the
-        // rows are ≥ n lanes long, and the parity probe exercised this
-        // pointer protocol before the function was ever published.
+        let in_ptrs: Vec<*const T> = inputs.iter().map(|r| r.as_ptr()).collect();
+        let out_ptrs: Vec<*mut T> = outs.iter_mut().map(|r| r.as_mut_ptr()).collect();
+        // SAFETY: the symbol was compiled for exactly n_in/n_out rows of
+        // `T`, the rows are ≥ n lanes long, and the parity probe exercised
+        // this pointer protocol before the function was ever published.
         unsafe { (self.f)(in_ptrs.as_ptr(), out_ptrs.as_ptr(), n) }
     }
 }
 
-/// A probed, cached native i64 chunk function (single output).
-#[derive(Clone, Copy)]
-pub struct NativeI64Fn {
-    f: NativeI64,
-    n_in: usize,
-}
-
-impl NativeI64Fn {
-    /// Run over `n` lanes into one output row.
-    pub fn run(&self, inputs: &[&[i64]], out: &mut [i64], n: usize) {
-        assert_eq!(inputs.len(), self.n_in, "native kernel input arity");
-        assert!(
-            inputs.iter().all(|r| r.len() >= n),
-            "native input rows too short"
-        );
-        assert!(out.len() >= n, "native output row too short");
-        if n == 0 {
-            return;
-        }
-        let in_ptrs: Vec<*const i64> = inputs.iter().map(|r| r.as_ptr()).collect();
-        let out_ptr: [*mut i64; 1] = [out.as_mut_ptr()];
-        // SAFETY: as in NativeF64Fn::run.
-        unsafe { (self.f)(in_ptrs.as_ptr(), out_ptr.as_ptr(), n) }
-    }
-}
-
-// fn pointers are Send + Sync, so entries can live in a global map.
+// Symbol addresses are plain integers, so entries can live in a global
+// map; the key's dtype tag fixes the function type an address holds.
 #[derive(Clone, Copy)]
 enum Entry {
-    F64(NativeF64Fn),
-    I64(NativeI64Fn),
+    Armed(usize),
     /// Compile failed, probe failed, or the body is not native-compilable:
     /// never try again this process.
     Refused,
@@ -121,9 +89,9 @@ enum Entry {
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct Key {
     program_hash: u64,
-    /// 0 = f64 scalar-return, 1 = f64 multi-output, 2 = i64 scalar-return.
-    abi: u8,
-    out_regs: Vec<Reg>,
+    /// [`Lane::TAG`] of the row type.
+    dtype: &'static str,
+    outs: Vec<(RegFile, Reg)>,
 }
 
 fn cache() -> &'static Mutex<HashMap<Key, Entry>> {
@@ -258,8 +226,8 @@ fn program_hash(program: &Program) -> u64 {
 
 /// `identity$f64$1a2b3c4d`-style symbol mangling: source name (sanitized
 /// to C identifier characters — `$` is accepted by gcc/clang on ELF),
-/// dtype tag, program hash.
-fn mangle(name: &str, dtype: &str, hash: u64, out_regs: &[Reg]) -> String {
+/// dtype tag (`f64x3` for three harvested rows), program hash.
+fn mangle(name: &str, dtype: &str, hash: u64, n_out: usize) -> String {
     let mut base: String = name
         .chars()
         .map(|c| {
@@ -273,36 +241,16 @@ fn mangle(name: &str, dtype: &str, hash: u64, out_regs: &[Reg]) -> String {
     if base.is_empty() || base.starts_with(|c: char| c.is_ascii_digit()) {
         base.insert(0, 'k');
     }
-    if out_regs.is_empty() {
+    if n_out == 1 {
         format!("{base}${dtype}${hash:016x}")
     } else {
-        format!("{base}${dtype}x{}${hash:016x}", out_regs.len())
+        format!("{base}${dtype}x{n_out}${hash:016x}")
     }
 }
 
 // ---------------------------------------------------------------------------
 // C emission
 // ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Abi {
-    /// f64 rows in, one f64 row out of the trailing `Ret`.
-    F64Ret,
-    /// f64 rows in, one f64 row per listed output register.
-    F64Multi,
-    /// i64 rows in, one i64 row out of the trailing `Ret`.
-    I64Ret,
-}
-
-impl Abi {
-    fn tag(self) -> u8 {
-        match self {
-            Abi::F64Ret => 0,
-            Abi::F64Multi => 1,
-            Abi::I64Ret => 2,
-        }
-    }
-}
 
 const C_PRELUDE: &str = r#"#include <math.h>
 #include <stddef.h>
@@ -426,37 +374,35 @@ fn emit_instr(ins: &Instr) -> Option<String> {
     })
 }
 
-/// Emit the full translation unit for one monomorphization. Returns
-/// `None` when any instruction falls outside the emitter's class.
-fn emit_c(f: &CompiledFunc, symbol: &str, abi: Abi, out_regs: &[Reg]) -> Option<String> {
-    let (in_ty, out_ty) = match abi {
-        Abi::I64Ret => ("sl_i64", "sl_i64"),
-        _ => ("double", "double"),
-    };
+/// Emit the full translation unit for one monomorphization: `T` rows in,
+/// one `T` row out per harvested register. Returns `None` when any
+/// instruction falls outside the emitter's class.
+fn emit_c<T: Lane>(f: &CompiledFunc, symbol: &str, outs: &[(RegFile, Reg)]) -> Option<String> {
+    let ty = T::C_TYPE;
     let mut src = String::with_capacity(2048 + 64 * f.instrs.len());
     src.push_str(C_PRELUDE);
     src.push_str(&format!(
-        "void {symbol}(const {in_ty}* const* in, {out_ty}* const* out, size_t n) {{\n"
+        "void {symbol}(const {ty}* const* in, {ty}* const* out, size_t n) {{\n"
     ));
     src.push_str("    for (size_t lane = 0; lane < n; ++lane) {\n");
-    // registers zero-initialized per lane, matching the VM's fallback
-    // frame discipline (and the vectorized path's zeroed rows)
+    // registers start at zero each lane; a straight-line body writes
+    // every register before reading it, so the VM never observes this
     for r in 0..f.reg_counts[0] {
         src.push_str(&format!("        double f{r} = 0.0;\n"));
     }
     for r in 0..f.reg_counts[1] {
         src.push_str(&format!("        sl_i64 i{r} = 0;\n"));
     }
-    for (k, &(file, reg)) in f.params.iter().enumerate() {
-        match (abi, file) {
-            (Abi::I64Ret, RegFile::I) => {
-                src.push_str(&format!("        i{reg} = in[{k}][lane];\n"))
-            }
-            (Abi::F64Ret | Abi::F64Multi, RegFile::F) => {
-                src.push_str(&format!("        f{reg} = in[{k}][lane];\n"))
-            }
-            _ => return None,
+    let file = |rf: RegFile| match rf {
+        RegFile::F => Some('f'),
+        RegFile::I => Some('i'),
+        _ => None,
+    };
+    for (k, &(rf, reg)) in f.params.iter().enumerate() {
+        if rf != T::FILE {
+            return None;
         }
+        src.push_str(&format!("        {}{reg} = in[{k}][lane];\n", file(rf)?));
     }
     let instrs = effective_instrs(f);
     let n = instrs.len();
@@ -465,23 +411,14 @@ fn emit_c(f: &CompiledFunc, symbol: &str, abi: Abi, out_regs: &[Reg]) -> Option<
         src.push_str(&emit_instr(ins)?);
         src.push('\n');
     }
-    match (abi, &instrs[n - 1]) {
-        (Abi::F64Ret, Instr::Ret(Some((RegFile::F, r)))) => {
-            src.push_str(&format!("        out[0][lane] = f{r};\n"));
-        }
-        (Abi::F64Ret, Instr::Ret(Some((RegFile::I, r)))) => {
-            // integer returns widen to f64, as in run_f64_chunk
-            src.push_str(&format!("        out[0][lane] = (double)i{r};\n"));
-        }
-        (Abi::I64Ret, Instr::Ret(Some((RegFile::I, r)))) => {
-            src.push_str(&format!("        out[0][lane] = i{r};\n"));
-        }
-        (Abi::F64Multi, Instr::Ret(_)) => {
-            for (j, r) in out_regs.iter().enumerate() {
-                src.push_str(&format!("        out[{j}][lane] = f{r};\n"));
-            }
-        }
-        _ => return None,
+    for (j, &(rf, r)) in outs.iter().enumerate() {
+        // a register of the other file converts like the VM's read-out
+        let value = match (T::FILE, rf) {
+            (RegFile::F, RegFile::I) => format!("(double)i{r}"),
+            (RegFile::I, RegFile::F) => format!("sl_f2i(f{r})"),
+            _ => format!("{}{r}", file(rf)?),
+        };
+        src.push_str(&format!("        out[{j}][lane] = {value};\n"));
     }
     src.push_str("    }\n}\n");
     Some(src)
@@ -503,19 +440,28 @@ fn splitmix(state: &mut u64) -> u64 {
 /// chunk big enough to push the VM onto its vectorized path.
 const PROBE_WIDTHS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 256];
 
-fn probe_f64_inputs(arity: usize, width: usize, seed: u64) -> Vec<Vec<f64>> {
-    const FIXED: &[f64] = &[0.0, 1.0, -1.0, 0.5, -2.0, 3.25, 0.125, -0.75];
+/// Seeded probe rows: fixed edge values (zero, ±1, halves, …) on most
+/// of the first eight lanes, then seeded randoms — in `[-4, 4)` for f64
+/// rows, in `(-1000, 1000)` for i64 rows.
+fn probe_inputs<T: Lane>(arity: usize, width: usize, seed: u64) -> Vec<Vec<T>> {
+    const FIXED_F: &[f64] = &[0.0, 1.0, -1.0, 0.5, -2.0, 3.25, 0.125, -0.75];
+    const FIXED_I: &[i64] = &[0, 1, -1, 2, -3, 5, -8, 13];
     let mut state = seed;
     (0..arity)
         .map(|k| {
             (0..width)
                 .map(|lane| {
-                    if lane < FIXED.len() && (lane + k) % 3 != 2 {
-                        FIXED[(lane + k) % FIXED.len()]
-                    } else {
-                        let u = splitmix(&mut state);
-                        let x = (u >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-                        (x - 0.5) * 8.0
+                    let fixed = lane < FIXED_F.len() && (lane + k) % 3 != 2;
+                    let j = (lane + k) % FIXED_F.len();
+                    match (T::FILE, fixed) {
+                        (RegFile::F, true) => T::from_f64(FIXED_F[j]),
+                        (_, true) => T::from_i64(FIXED_I[j]),
+                        (RegFile::F, false) => {
+                            let u = splitmix(&mut state);
+                            let x = (u >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+                            T::from_f64((x - 0.5) * 8.0)
+                        }
+                        (_, false) => T::from_i64((splitmix(&mut state) as i64) % 1000),
                     }
                 })
                 .collect()
@@ -523,85 +469,36 @@ fn probe_f64_inputs(arity: usize, width: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn probe_i64_inputs(arity: usize, width: usize, seed: u64) -> Vec<Vec<i64>> {
-    const FIXED: &[i64] = &[0, 1, -1, 2, -3, 5, -8, 13];
-    let mut state = seed;
-    (0..arity)
-        .map(|k| {
-            (0..width)
-                .map(|lane| {
-                    if lane < FIXED.len() && (lane + k) % 3 != 2 {
-                        FIXED[(lane + k) % FIXED.len()]
-                    } else {
-                        (splitmix(&mut state) as i64) % 1000
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn probe_f64(program: &Program, nf: NativeF64Fn, out_regs: &[Reg], seed: u64) -> bool {
+/// The bitwise-parity probe: the native body and the VM's chunk entry
+/// must produce the same bits on every harvested row at every probe width.
+fn probe<T: Lane>(
+    program: &Program,
+    nf: NativeKernel<T>,
+    outs: &[(RegFile, Reg)],
+    seed: u64,
+) -> bool {
     let arity = program.funcs[0].params.len();
     let vm = Vm::new(program);
     for &w in PROBE_WIDTHS {
-        let rows = probe_f64_inputs(arity, w, seed ^ w as u64);
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        if out_regs.is_empty() {
-            let mut vm_out = vec![0.0f64; w];
-            if vm.run_f64_chunk(0, &refs, &mut vm_out).is_err() {
+        let rows = probe_inputs::<T>(arity, w, seed ^ w as u64);
+        let refs: Vec<&[T]> = rows.iter().map(|r| r.as_slice()).collect();
+        let mut vm_rows = vec![vec![T::default(); w]; outs.len()];
+        let mut native_rows = vm_rows.clone();
+        {
+            let mut vm_outs: Vec<&mut [T]> = vm_rows.iter_mut().map(|r| &mut r[..]).collect();
+            if vm.run_chunk(0, &refs, outs, &mut vm_outs).is_err() {
                 return false;
             }
-            let mut native_out = vec![0.0f64; w];
-            nf.run(&refs, &mut [&mut native_out[..]], w);
-            if vm_out
-                .iter()
-                .zip(&native_out)
-                .any(|(a, b)| a.to_bits() != b.to_bits())
-            {
-                return false;
-            }
-        } else {
-            let mut vm_rows = vec![vec![0.0f64; w]; out_regs.len()];
-            {
-                let mut vm_outs: Vec<&mut [f64]> =
-                    vm_rows.iter_mut().map(|r| r.as_mut_slice()).collect();
-                if vm
-                    .run_f64_multi_chunk(0, &refs, out_regs, &mut vm_outs)
-                    .is_err()
-                {
-                    return false;
-                }
-            }
-            let mut native_rows = vec![vec![0.0f64; w]; out_regs.len()];
-            {
-                let mut native_outs: Vec<&mut [f64]> =
-                    native_rows.iter_mut().map(|r| r.as_mut_slice()).collect();
-                nf.run(&refs, &mut native_outs, w);
-            }
-            for (vr, nr) in vm_rows.iter().zip(&native_rows) {
-                if vr.iter().zip(nr).any(|(a, b)| a.to_bits() != b.to_bits()) {
-                    return false;
-                }
-            }
+            let mut native_outs: Vec<&mut [T]> =
+                native_rows.iter_mut().map(|r| &mut r[..]).collect();
+            nf.run(&refs, &mut native_outs, w);
         }
-    }
-    true
-}
-
-fn probe_i64(program: &Program, nf: NativeI64Fn, seed: u64) -> bool {
-    let arity = program.funcs[0].params.len();
-    let vm = Vm::new(program);
-    for &w in PROBE_WIDTHS {
-        let rows = probe_i64_inputs(arity, w, seed ^ w as u64);
-        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut vm_out = vec![0i64; w];
-        if vm.run_i64_chunk(0, &refs, &mut vm_out).is_err() {
-            return false;
-        }
-        let mut native_out = vec![0i64; w];
-        nf.run(&refs, &mut native_out, w);
-        if vm_out != native_out {
+        let same = vm_rows
+            .iter()
+            .flatten()
+            .zip(native_rows.iter().flatten())
+            .all(|(a, b)| a.bits() == b.bits());
+        if !same {
             return false;
         }
     }
@@ -617,17 +514,16 @@ fn refuse(key: Key) {
     cache().lock().unwrap().insert(key, Entry::Refused);
 }
 
-/// Fetch (compiling on first use) the native f64 monomorphization of a
-/// program. `out_regs: None` compiles the scalar-return ABI used by
-/// `EvalKernel`; `Some(regs)` compiles the multi-output ABI used by fused
-/// trace groups (`EvalKernelMulti`), dumping the listed F registers.
+/// Fetch (compiling on first use) the native monomorphization of a
+/// program over `T` rows that harvests the registers `outs` (float or
+/// integer file, converted to `T` like the VM's read-out).
 ///
 /// Returns `None` — and the caller stays on the VM — when the tier is
 /// pinned off (`HPC_KERNEL_TIER=vm`), no C compiler exists, the body
 /// falls outside the emitter's class, the compile fails, or the bitwise
 /// parity probe fails. All but the first two are cached as permanent
 /// refusals.
-pub fn native_f64(program: &Program, out_regs: Option<&[Reg]>) -> Option<NativeF64Fn> {
+pub fn native<T: Lane>(program: &Program, outs: &[(RegFile, Reg)]) -> Option<NativeKernel<T>> {
     if vm_forced() || cmodule::system_cc().is_none() {
         return None;
     }
@@ -635,33 +531,47 @@ pub fn native_f64(program: &Program, out_regs: Option<&[Reg]>) -> Option<NativeF
         return None;
     }
     let f = &program.funcs[0];
-    if f.params.iter().any(|&(file, _)| file != RegFile::F) {
+    let in_range = |&(rf, r): &(RegFile, Reg)| match rf {
+        RegFile::F => (r as usize) < f.reg_counts[0],
+        RegFile::I => (r as usize) < f.reg_counts[1],
+        _ => false,
+    };
+    if f.params.iter().any(|&(rf, _)| rf != T::FILE)
+        || outs.is_empty()
+        || !outs.iter().all(in_range)
+    {
         return None;
     }
-    let (abi, regs) = match out_regs {
-        None => (Abi::F64Ret, Vec::new()),
-        Some(rs) => {
-            if rs.is_empty() || rs.iter().any(|&r| r as usize >= f.reg_counts[0]) {
-                return None;
-            }
-            (Abi::F64Multi, rs.to_vec())
-        }
-    };
     let hash = program_hash(program);
     let key = Key {
         program_hash: hash,
-        abi: abi.tag(),
-        out_regs: regs.clone(),
+        dtype: T::TAG,
+        outs: outs.to_vec(),
+    };
+    let wrap = |addr: usize| {
+        // SAFETY: `addr` is a symbol emitted by `emit_c::<T>` with exactly
+        // this signature (the cache key carries T's dtype tag), and
+        // function pointers are address-sized.
+        let raw = unsafe {
+            std::mem::transmute::<usize, unsafe extern "C" fn(*const *const T, *const *mut T, usize)>(
+                addr,
+            )
+        };
+        NativeKernel {
+            f: raw,
+            n_in: program.funcs[0].params.len(),
+            n_out: outs.len(),
+        }
     };
     if let Some(entry) = cache().lock().unwrap().get(&key) {
         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return match entry {
-            Entry::F64(nf) => Some(*nf),
-            _ => None,
+        return match *entry {
+            Entry::Armed(addr) => Some(wrap(addr)),
+            Entry::Refused => None,
         };
     }
-    let symbol = mangle(&f.name, "f64", hash, &regs);
-    let Some(c_src) = emit_c(f, &symbol, abi, &regs) else {
+    let symbol = mangle(&f.name, T::TAG, hash, outs.len());
+    let Some(c_src) = emit_c::<T>(f, &symbol, outs) else {
         refuse(key);
         return None;
     };
@@ -672,81 +582,14 @@ pub fn native_f64(program: &Program, out_regs: Option<&[Reg]>) -> Option<NativeF
             return None;
         }
     };
-    // SAFETY: the symbol was just emitted with exactly this signature.
-    let raw: NativeF64 = unsafe { std::mem::transmute(addr) };
-    let nf = NativeF64Fn {
-        f: raw,
-        n_in: f.params.len(),
-        n_out: if regs.is_empty() { 1 } else { regs.len() },
-    };
-    if !probe_f64(program, nf, &regs, hash) {
+    let nf = wrap(addr);
+    if !probe(program, nf, outs, hash) {
         PROBE_FAILED.fetch_add(1, Ordering::Relaxed);
         refuse(key);
         return None;
     }
     COMPILED.fetch_add(1, Ordering::Relaxed);
-    cache().lock().unwrap().insert(key, Entry::F64(nf));
-    Some(nf)
-}
-
-/// Fetch (compiling on first use) the native i64 monomorphization: i64
-/// rows in, one i64 row out. Bool kernels ride this ABI as 0/1. Same
-/// refusal semantics as [`native_f64`].
-pub fn native_i64(program: &Program) -> Option<NativeI64Fn> {
-    if vm_forced() || cmodule::system_cc().is_none() {
-        return None;
-    }
-    if !native_compilable(program) {
-        return None;
-    }
-    let f = &program.funcs[0];
-    if f.params.iter().any(|&(file, _)| file != RegFile::I) {
-        return None;
-    }
-    if !matches!(
-        effective_instrs(f).last(),
-        Some(Instr::Ret(Some((RegFile::I, _))))
-    ) {
-        return None;
-    }
-    let hash = program_hash(program);
-    let key = Key {
-        program_hash: hash,
-        abi: Abi::I64Ret.tag(),
-        out_regs: Vec::new(),
-    };
-    if let Some(entry) = cache().lock().unwrap().get(&key) {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return match entry {
-            Entry::I64(nf) => Some(*nf),
-            _ => None,
-        };
-    }
-    let symbol = mangle(&f.name, "i64", hash, &[]);
-    let Some(c_src) = emit_c(f, &symbol, Abi::I64Ret, &[]) else {
-        refuse(key);
-        return None;
-    };
-    let addr = match cmodule::compile_and_load(&c_src, &symbol) {
-        Ok(a) => a,
-        Err(_) => {
-            refuse(key);
-            return None;
-        }
-    };
-    // SAFETY: the symbol was just emitted with exactly this signature.
-    let raw: NativeI64 = unsafe { std::mem::transmute(addr) };
-    let nf = NativeI64Fn {
-        f: raw,
-        n_in: f.params.len(),
-    };
-    if !probe_i64(program, nf, hash) {
-        PROBE_FAILED.fetch_add(1, Ordering::Relaxed);
-        refuse(key);
-        return None;
-    }
-    COMPILED.fetch_add(1, Ordering::Relaxed);
-    cache().lock().unwrap().insert(key, Entry::I64(nf));
+    cache().lock().unwrap().insert(key, Entry::Armed(addr));
     Some(nf)
 }
 
@@ -812,9 +655,9 @@ mod tests {
 
     #[test]
     fn mangling_is_c_safe_and_dtype_tagged() {
-        let s = mangle("weird name!", "f64", 0xABCD, &[]);
+        let s = mangle("weird name!", "f64", 0xABCD, 1);
         assert!(s.starts_with("weird_name_$f64$"));
-        let m = mangle("stencil", "f64", 1, &[3, 5]);
+        let m = mangle("stencil", "f64", 1, 2);
         assert!(m.contains("$f64x2$"));
     }
 
@@ -840,7 +683,8 @@ mod tests {
             1,
         );
         let before = stats();
-        let nf = native_f64(&p, None).expect("body compiles and passes the probe");
+        let ret = [(RegFile::F, 5)];
+        let nf = native::<f64>(&p, &ret).expect("body compiles and passes the probe");
         assert_eq!(stats().compiled, before.compiled + 1);
         // the probe already checked widths 1..=8 and 256; spot-check again
         let xs: Vec<f64> = (0..37).map(|i| (i as f64) * 0.37 - 5.0).collect();
@@ -848,13 +692,14 @@ mod tests {
         nf.run(&[&xs], &mut [&mut native_out[..]], xs.len());
         let vm = Vm::new(&p);
         let mut vm_out = vec![0.0; xs.len()];
-        vm.run_f64_chunk(0, &[&xs], &mut vm_out).unwrap();
+        vm.run_chunk(0, &[&xs], &ret, &mut [&mut vm_out[..]])
+            .unwrap();
         for (a, b) in vm_out.iter().zip(&native_out) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // second fetch is a cache hit, not a recompile
         let hits = stats().cache_hits;
-        let _ = native_f64(&p, None).unwrap();
+        let _ = native::<f64>(&p, &ret).unwrap();
         assert_eq!(stats().cache_hits, hits + 1);
         assert_eq!(stats().compiled, before.compiled + 1);
     }
@@ -883,14 +728,16 @@ mod tests {
             }],
             externs: Vec::new(),
         };
-        let nf = native_i64(&p).expect("i64 body compiles");
+        let ret = [(RegFile::I, 4)];
+        let nf = native::<i64>(&p, &ret).expect("i64 body compiles");
         let xs: Vec<i64> = (-20..20).collect();
         let ys: Vec<i64> = (0..40).map(|i| i * 7 - 100).collect();
         let mut native_out = vec![0i64; xs.len()];
-        nf.run(&[&xs, &ys], &mut native_out, xs.len());
+        nf.run(&[&xs, &ys], &mut [&mut native_out[..]], xs.len());
         let vm = Vm::new(&p);
         let mut vm_out = vec![0i64; xs.len()];
-        vm.run_i64_chunk(0, &[&xs, &ys], &mut vm_out).unwrap();
+        vm.run_chunk(0, &[&xs, &ys], &ret, &mut [&mut vm_out[..]])
+            .unwrap();
         assert_eq!(vm_out, native_out);
     }
 
@@ -904,7 +751,7 @@ mod tests {
             0,
         );
         std::env::set_var("HPC_KERNEL_TIER", "vm");
-        assert!(native_f64(&p, None).is_none());
+        assert!(native::<f64>(&p, &[(RegFile::F, 1)]).is_none());
         assert!(!native_available());
         std::env::remove_var("HPC_KERNEL_TIER");
     }
@@ -915,37 +762,33 @@ mod tests {
         if !native_available() {
             return;
         }
-        // two outputs from one body: f1 = x + x, f2 = x * f1
+        // three outputs from one body, one from the integer file:
+        // f1 = x + x, f2 = x * f1, i0 = f2 > f1
         let p = f64_program(
             vec![
                 Instr::AddF(1, 0, 0),
                 Instr::MulF(2, 0, 1),
+                Instr::CmpF(Cmp::Gt, 0, 2, 1),
                 Instr::Ret(Some((RegFile::F, 2))),
             ],
             1,
             3,
-            0,
+            1,
         );
-        let nf = native_f64(&p, Some(&[1, 2])).expect("multi body compiles");
+        let outs = [(RegFile::F, 1), (RegFile::F, 2), (RegFile::I, 0)];
+        let nf = native::<f64>(&p, &outs).expect("multi body compiles");
         let xs: Vec<f64> = (0..19).map(|i| i as f64 * 0.5 - 4.0).collect();
-        let mut n1 = vec![0.0; xs.len()];
-        let mut n2 = vec![0.0; xs.len()];
-        nf.run(&[&xs], &mut [&mut n1[..], &mut n2[..]], xs.len());
-        let vm = Vm::new(&p);
-        let mut v1 = vec![0.0; xs.len()];
-        let mut v2 = vec![0.0; xs.len()];
+        let mut native_rows = vec![vec![0.0; xs.len()]; 3];
+        let mut vm_rows = native_rows.clone();
         {
-            let mut outs: Vec<&mut [f64]> = vec![&mut v1[..], &mut v2[..]];
-            vm.run_f64_multi_chunk(0, &[&xs], &[1, 2], &mut outs)
-                .unwrap();
+            let mut n: Vec<&mut [f64]> = native_rows.iter_mut().map(|r| &mut r[..]).collect();
+            nf.run(&[&xs], &mut n, xs.len());
+            let mut v: Vec<&mut [f64]> = vm_rows.iter_mut().map(|r| &mut r[..]).collect();
+            Vm::new(&p).run_chunk(0, &[&xs], &outs, &mut v).unwrap();
         }
-        assert_eq!(
-            v1.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            n1.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            v2.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            n2.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
+        let bits = |rows: &[Vec<f64>]| -> Vec<u64> {
+            rows.iter().flatten().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&vm_rows), bits(&native_rows));
     }
 }

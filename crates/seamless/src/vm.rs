@@ -16,8 +16,8 @@ use std::cell::RefCell;
 pub struct Vm<'p> {
     program: &'p Program,
     /// Lane-major register scratch for the vectorized chunk path, reused
-    /// across [`Vm::run_f64_chunk`] calls so a long array pays the
-    /// allocation once.
+    /// across [`Vm::run_chunk`] calls so a long array pays the allocation
+    /// once.
     lanes: RefCell<Lanes>,
 }
 
@@ -133,207 +133,88 @@ impl<'p> Vm<'p> {
         })
     }
 
-    /// Unboxed elementwise fast path: run function `func` once per lane,
-    /// feeding `inputs[k][lane]` into the k-th (float) parameter and
-    /// writing the float return into `out[lane]`. No `Value` is boxed
-    /// anywhere — one frame is reused across the whole chunk, so the
-    /// per-lane cost is register writes plus the dispatch loop.
+    /// Unboxed elementwise fast path: run function `func` once per lane
+    /// of a chunk. Lane `j` binds `inputs[k][j]` to the k-th parameter;
+    /// after the body, each register named in `outs` (float or integer
+    /// file) is read into `rows[m][j]`, converting to `T` like Rust `as`.
+    /// No `Value` is boxed anywhere. Harvesting several registers lets a
+    /// fused multi-statement kernel pay for its shared subexpressions
+    /// once; harvesting [`CompiledFunc::ret_reg`] reads the return value.
     ///
-    /// Every parameter must live in the `F` register file and every input
-    /// slice must be at least `out.len()` long; integer returns are
-    /// widened to `f64`, array/unit returns are errors.
-    pub fn run_f64_chunk(
+    /// Every parameter must live in `T`'s register file and every input
+    /// slice must be at least as long as the (equal-length) output rows.
+    /// Straight-line bodies run register-vectorized; anything else runs
+    /// per lane on one frame reused across the chunk (the compiler writes
+    /// every register before a well-formed body reads it).
+    pub fn run_chunk<T: Lane>(
         &self,
         func: usize,
-        inputs: &[&[f64]],
-        out: &mut [f64],
+        inputs: &[&[T]],
+        outs: &[(RegFile, Reg)],
+        rows: &mut [&mut [T]],
     ) -> Result<(), SeamlessError> {
         let f = &self.program.funcs[func];
+        let err = |msg: String| Err(SeamlessError::Runtime(format!("{}: {msg}", f.name)));
         if inputs.len() != f.params.len() {
-            return Err(SeamlessError::Runtime(format!(
-                "{} takes {} arguments, got {} input streams",
-                f.name,
+            return err(format!(
+                "takes {} arguments, got {} input streams",
                 f.params.len(),
                 inputs.len()
-            )));
-        }
-        for (k, &(file, _)) in f.params.iter().enumerate() {
-            if file != RegFile::F {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_f64_chunk: parameter {k} of {} is not a float scalar",
-                    f.name
-                )));
-            }
-            if inputs[k].len() < out.len() {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_f64_chunk: input {k} shorter than the output chunk"
-                )));
-            }
-        }
-        if chunk_vectorizable(f) {
-            self.run_chunk_vectorized(f, inputs, out);
-            return Ok(());
-        }
-        let mut frame = Frame {
-            f: vec![0.0; f.reg_counts[0]],
-            i: vec![0; f.reg_counts[1]],
-            af: vec![Vec::new(); f.reg_counts[2]],
-            ai: vec![Vec::new(); f.reg_counts[3]],
-        };
-        for lane in 0..out.len() {
-            for (k, &(_, reg)) in f.params.iter().enumerate() {
-                frame.f[reg as usize] = inputs[k][lane];
-            }
-            out[lane] = match self.exec(func, &mut frame)? {
-                RawRet::F(v) => v,
-                RawRet::I(v) => v as f64,
-                _ => {
-                    return Err(SeamlessError::Runtime(format!(
-                        "run_f64_chunk: {} must return a scalar",
-                        f.name
-                    )))
-                }
-            };
-        }
-        Ok(())
-    }
-
-    /// Integer twin of [`Vm::run_f64_chunk`]: run function `func` once per
-    /// lane over `i64` input streams, writing the integer return into
-    /// `out[lane]`. This is the execution path for `i64`/`bool` kernel
-    /// specializations (params compiled into the `I` register file, bools
-    /// as 0/1), and the bitwise reference the native `i64` tier is probed
-    /// against. Registers are zeroed per lane — exactly what the emitted C
-    /// does — so straight-line bodies cannot leak state across lanes.
-    ///
-    /// Every parameter must live in the `I` register file and the function
-    /// must return an integer scalar (`Int` or `Bool`); float returns are
-    /// errors (use the f64 chunk path for those).
-    pub fn run_i64_chunk(
-        &self,
-        func: usize,
-        inputs: &[&[i64]],
-        out: &mut [i64],
-    ) -> Result<(), SeamlessError> {
-        let f = &self.program.funcs[func];
-        if inputs.len() != f.params.len() {
-            return Err(SeamlessError::Runtime(format!(
-                "{} takes {} arguments, got {} input streams",
-                f.name,
-                f.params.len(),
-                inputs.len()
-            )));
-        }
-        for (k, &(file, _)) in f.params.iter().enumerate() {
-            if file != RegFile::I {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_i64_chunk: parameter {k} of {} is not an integer scalar",
-                    f.name
-                )));
-            }
-            if inputs[k].len() < out.len() {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_i64_chunk: input {k} shorter than the output chunk"
-                )));
-            }
-        }
-        let mut frame = Frame {
-            f: vec![0.0; f.reg_counts[0]],
-            i: vec![0; f.reg_counts[1]],
-            af: vec![Vec::new(); f.reg_counts[2]],
-            ai: vec![Vec::new(); f.reg_counts[3]],
-        };
-        for lane in 0..out.len() {
-            frame.f.fill(0.0);
-            frame.i.fill(0);
-            for (k, &(_, reg)) in f.params.iter().enumerate() {
-                frame.i[reg as usize] = inputs[k][lane];
-            }
-            out[lane] = match self.exec(func, &mut frame)? {
-                RawRet::I(v) => v,
-                _ => {
-                    return Err(SeamlessError::Runtime(format!(
-                        "run_i64_chunk: {} must return an integer scalar",
-                        f.name
-                    )))
-                }
-            };
-        }
-        Ok(())
-    }
-
-    /// Multi-output variant of [`Vm::run_f64_chunk`]: one pass over the
-    /// chunk evaluates the whole function, then the rows named by
-    /// `out_regs` (float-file registers) are copied into `outs` — so a
-    /// fused multi-statement kernel pays for its shared subexpressions
-    /// once instead of once per output. Register contents are identical
-    /// to the single-output path; only the read-out differs.
-    pub fn run_f64_multi_chunk(
-        &self,
-        func: usize,
-        inputs: &[&[f64]],
-        out_regs: &[Reg],
-        outs: &mut [&mut [f64]],
-    ) -> Result<(), SeamlessError> {
-        let f = &self.program.funcs[func];
-        if inputs.len() != f.params.len() {
-            return Err(SeamlessError::Runtime(format!(
-                "{} takes {} arguments, got {} input streams",
-                f.name,
-                f.params.len(),
-                inputs.len()
-            )));
-        }
-        if out_regs.len() != outs.len() {
-            return Err(SeamlessError::Runtime(format!(
-                "run_f64_multi_chunk: {} output registers but {} output chunks",
-                out_regs.len(),
-                outs.len()
-            )));
-        }
-        let len = outs.first().map_or(0, |o| o.len());
-        if outs.iter().any(|o| o.len() != len) {
-            return Err(SeamlessError::Runtime(
-                "run_f64_multi_chunk: output chunks differ in length".into(),
             ));
         }
+        if outs.len() != rows.len() {
+            return err(format!(
+                "{} output registers but {} output rows",
+                outs.len(),
+                rows.len()
+            ));
+        }
+        let len = rows.first().map_or(0, |r| r.len());
+        if rows.iter().any(|r| r.len() != len) {
+            return err("output rows differ in length".into());
+        }
         for (k, &(file, _)) in f.params.iter().enumerate() {
-            if file != RegFile::F {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_f64_multi_chunk: parameter {k} of {} is not a float scalar",
-                    f.name
-                )));
+            if file != T::FILE {
+                return err(format!("parameter {k} is not a {:?}-file scalar", T::FILE));
             }
             if inputs[k].len() < len {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_f64_multi_chunk: input {k} shorter than the output chunk"
-                )));
+                return err(format!("input {k} shorter than the output rows"));
             }
         }
-        for &r in out_regs {
-            if r as usize >= f.reg_counts[0] {
-                return Err(SeamlessError::Runtime(format!(
-                    "run_f64_multi_chunk: output register f{r} out of range for {}",
-                    f.name
-                )));
+        for &(file, r) in outs {
+            let count = match file {
+                RegFile::F => f.reg_counts[0],
+                RegFile::I => f.reg_counts[1],
+                _ => 0,
+            };
+            if r as usize >= count {
+                return err(format!("output register {file:?}{r} out of range"));
             }
         }
         if len == 0 {
             return Ok(());
         }
         if chunk_vectorizable(f) {
+            // Row stride = len rounded away from a multiple of the
+            // cache-line count: callers hand over power-of-two chunks
+            // (4096 lanes), and exactly power-of-two row spacing lands
+            // every register row on the same L1 sets, which thrashes once
+            // an expression holds a few live rows. One extra line of
+            // padding decorrelates them.
             let stride = len + 8;
             let mut lanes = self.lanes.borrow_mut();
             let Lanes { f: fl, i: il } = &mut *lanes;
             vector_pass(f, inputs, len, stride, fl, il);
-            for (&r, o) in out_regs.iter().zip(outs.iter_mut()) {
-                o.copy_from_slice(&fl[r as usize * stride..][..len]);
+            for (&(file, r), row) in outs.iter().zip(rows.iter_mut()) {
+                let at = r as usize * stride;
+                match file {
+                    RegFile::F => row_from(row, &fl[at..at + len], T::from_f64),
+                    _ => row_from(row, &il[at..at + len], T::from_i64),
+                }
             }
             return Ok(());
         }
-        // Fallback interpreter path: run the function per lane, then read
-        // the requested registers out of the frame. Registers are zeroed
-        // per lane so a branchy function can't leak state across lanes.
+        let ret = f.ret_reg();
         let mut frame = Frame {
             f: vec![0.0; f.reg_counts[0]],
             i: vec![0; f.reg_counts[1]],
@@ -341,65 +222,111 @@ impl<'p> Vm<'p> {
             ai: vec![Vec::new(); f.reg_counts[3]],
         };
         for lane in 0..len {
-            frame.f.fill(0.0);
-            frame.i.fill(0);
             for (k, &(_, reg)) in f.params.iter().enumerate() {
-                frame.f[reg as usize] = inputs[k][lane];
+                match T::FILE {
+                    RegFile::F => frame.f[reg as usize] = inputs[k][lane].to_f64(),
+                    _ => frame.i[reg as usize] = inputs[k][lane].to_i64(),
+                }
             }
-            self.exec(func, &mut frame)?;
-            for (&r, o) in out_regs.iter().zip(outs.iter_mut()) {
-                o[lane] = frame.f[r as usize];
+            match (self.exec(func, &mut frame)?, ret) {
+                (RawRet::F(v), Some((RegFile::F, r))) => frame.f[r as usize] = v,
+                (RawRet::I(v), Some((RegFile::I, r))) => frame.i[r as usize] = v,
+                _ => {}
+            }
+            for (&(file, r), row) in outs.iter().zip(rows.iter_mut()) {
+                row[lane] = match file {
+                    RegFile::F => T::from_f64(frame.f[r as usize]),
+                    _ => T::from_i64(frame.i[r as usize]),
+                };
             }
         }
         Ok(())
     }
+}
 
-    /// Register-vectorized execution of a straight-line scalar function:
-    /// each register becomes a lane-major row and every instruction is
-    /// one tight loop over the whole chunk — the same per-op shape as a
-    /// hand-fused interpreter, but driven by compiled bytecode. Only
-    /// reached when [`chunk_vectorizable`] accepted the function, which
-    /// guarantees straight-line infallible instructions and, per
-    /// instruction, a destination register strictly above its same-file
-    /// sources (so the row split below never aliases).
-    fn run_chunk_vectorized(&self, f: &CompiledFunc, inputs: &[&[f64]], out: &mut [f64]) {
-        let len = out.len();
-        if len == 0 {
-            return;
-        }
-        // Row stride = len rounded away from a multiple of the cache-line
-        // count: callers hand over power-of-two chunks (4096 lanes), and
-        // exactly power-of-two row spacing lands every register row on
-        // the same L1 sets, which thrashes once an expression holds a few
-        // live rows. One extra line of padding decorrelates them.
-        let stride = len + 8;
-        let mut lanes = self.lanes.borrow_mut();
-        let Lanes { f: fl, i: il } = &mut *lanes;
-        vector_pass(f, inputs, len, stride, fl, il);
-        match f.instrs[f.instrs.len() - 1] {
-            Instr::Ret(Some((RegFile::F, r))) => {
-                out.copy_from_slice(&fl[r as usize * stride..][..len])
-            }
-            Instr::Ret(Some((RegFile::I, r))) => {
-                let src = &il[r as usize * stride..][..len];
-                for (o, &x) in out.iter_mut().zip(src) {
-                    *o = x as f64;
-                }
-            }
-            ref other => {
-                unreachable!("vectorized function must end in a scalar Ret, got {other:?}")
-            }
-        }
+/// Element type of a kernel's input and output rows: the compute dtype a
+/// chunk run (and a native body) is monomorphized for. `f64` rows bind
+/// float-file parameters and `i64` rows integer-file ones (bools as 0/1);
+/// a harvested register of the other file converts like Rust `as`.
+pub trait Lane: Copy + Default + Send + Sync + 'static {
+    /// The register file parameters of this element type live in.
+    const FILE: RegFile;
+    /// Dtype tag of native symbols (`name$f64$…`).
+    const TAG: &'static str;
+    /// The C type of one row element.
+    const C_TYPE: &'static str;
+    /// Convert a float register value.
+    fn from_f64(x: f64) -> Self;
+    /// Convert an integer register value.
+    fn from_i64(x: i64) -> Self;
+    /// Widen (or pass through) to `f64`.
+    fn to_f64(self) -> f64;
+    /// Narrow (or pass through) to `i64`.
+    fn to_i64(self) -> i64;
+    /// The bit pattern, for bitwise comparisons.
+    fn bits(self) -> u64;
+}
+
+impl Lane for f64 {
+    const FILE: RegFile = RegFile::F;
+    const TAG: &'static str = "f64";
+    const C_TYPE: &'static str = "double";
+    fn from_f64(x: f64) -> Self {
+        x
+    }
+    fn from_i64(x: i64) -> Self {
+        x as f64
+    }
+    fn to_f64(self) -> f64 {
+        self
+    }
+    fn to_i64(self) -> i64 {
+        self as i64
+    }
+    fn bits(self) -> u64 {
+        self.to_bits()
     }
 }
 
-/// Shared lane-major instruction pass for the vectorized chunk paths:
-/// stages the float parameters into register rows, then runs every
-/// instruction except the trailing `Ret`. Callers read whichever result
-/// rows they need out of `fl`/`il` afterwards.
-fn vector_pass(
+impl Lane for i64 {
+    const FILE: RegFile = RegFile::I;
+    const TAG: &'static str = "i64";
+    const C_TYPE: &'static str = "sl_i64";
+    fn from_f64(x: f64) -> Self {
+        x as i64
+    }
+    fn from_i64(x: i64) -> Self {
+        x
+    }
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+    fn to_i64(self) -> i64 {
+        self
+    }
+    fn bits(self) -> u64 {
+        self as u64
+    }
+}
+
+fn row_from<S: Copy, T>(row: &mut [T], src: &[S], conv: impl Fn(S) -> T) {
+    for (o, &x) in row.iter_mut().zip(src) {
+        *o = conv(x);
+    }
+}
+
+/// Register-vectorized execution of a straight-line scalar function:
+/// each register becomes a lane-major row and every instruction is one
+/// tight loop over the whole chunk. Stages the parameters into their
+/// register rows, then runs every instruction except the trailing `Ret`;
+/// the caller reads the result rows it needs out of `fl`/`il`. Only
+/// reached when [`chunk_vectorizable`] accepted the function, which
+/// guarantees straight-line infallible instructions and, per instruction,
+/// a destination register strictly above its same-file sources (so the
+/// row splits below never alias).
+fn vector_pass<T: Lane>(
     f: &CompiledFunc,
-    inputs: &[&[f64]],
+    inputs: &[&[T]],
     len: usize,
     stride: usize,
     fl: &mut Vec<f64>,
@@ -409,7 +336,11 @@ fn vector_pass(
         fl.resize(f.reg_counts[0] * stride, 0.0);
         il.resize(f.reg_counts[1] * stride, 0);
         for (k, &(_, reg)) in f.params.iter().enumerate() {
-            fl[reg as usize * stride..][..len].copy_from_slice(&inputs[k][..len]);
+            let at = reg as usize * stride;
+            match T::FILE {
+                RegFile::F => row_from(&mut fl[at..at + len], &inputs[k][..len], T::to_f64),
+                _ => row_from(&mut il[at..at + len], &inputs[k][..len], T::to_i64),
+            }
         }
         // d = op(a, b), all in the float file: d's row sits above both
         // source rows, so splitting at d's offset borrows them disjointly.
@@ -1021,7 +952,9 @@ def make(n):
     }
 
     #[test]
-    fn run_f64_chunk_matches_boxed_calls() {
+    fn run_chunk_return_register_matches_boxed_calls() {
+        // A branchy body returns from two different registers; the
+        // per-lane path stores either into the return register.
         let src = "
 def f(x, y):
     if x > y:
@@ -1031,10 +964,12 @@ def f(x, y):
         let m = parse_module(src).unwrap();
         let p = compile_program(&m, "f", &[Type::Float, Type::Float]).unwrap();
         let vm = Vm::new(&p);
+        let ret = p.funcs[0].ret_reg().unwrap();
         let xs = [1.0, 4.0, -2.5, 0.0];
         let ys = [3.0, 1.0, -2.5, 7.25];
         let mut out = [0.0; 4];
-        vm.run_f64_chunk(0, &[&xs, &ys], &mut out).unwrap();
+        vm.run_chunk(0, &[&xs, &ys], &[ret], &mut [&mut out])
+            .unwrap();
         for i in 0..4 {
             let boxed = vm
                 .call(vec![Value::Float(xs[i]), Value::Float(ys[i])])
@@ -1044,30 +979,32 @@ def f(x, y):
     }
 
     #[test]
-    fn run_f64_chunk_rejects_array_params() {
+    fn run_chunk_rejects_array_params() {
         let src = "def g(a):\n    return a[0]\n";
         let m = parse_module(src).unwrap();
         let p = compile_program(&m, "g", &[Type::ArrF]).unwrap();
+        let ret = p.funcs[0].ret_reg().unwrap();
         let err = Vm::new(&p)
-            .run_f64_chunk(0, &[&[1.0]], &mut [0.0])
+            .run_chunk(0, &[&[1.0]], &[ret], &mut [&mut [0.0]])
             .unwrap_err();
         assert!(matches!(err, SeamlessError::Runtime(_)));
     }
 
     #[test]
-    fn run_f64_multi_chunk_reads_intermediate_registers() {
-        // Hand-built straight-line function: f2 = f0 + f1, f3 = f2 * f0.
-        // Reading {f2, f3} out of one multi-chunk pass must match what
-        // per-lane arithmetic says each register holds.
+    fn run_chunk_reads_intermediate_registers_of_either_file() {
+        // Hand-built straight-line function: f2 = f0 + f1, f3 = f2 * f0,
+        // i0 = f3 < f0. Reading {f2, f3, i0} out of one pass must match
+        // what per-lane arithmetic says each register holds.
         let func = CompiledFunc {
             name: "multi".into(),
             params: vec![(RegFile::F, 0), (RegFile::F, 1)],
             param_types: vec![Type::Float, Type::Float],
             ret: Type::Float,
-            reg_counts: [4, 0, 0, 0],
+            reg_counts: [4, 1, 0, 0],
             instrs: vec![
                 Instr::AddF(2, 0, 1),
                 Instr::MulF(3, 2, 0),
+                Instr::CmpF(Cmp::Lt, 0, 3, 0),
                 Instr::Ret(Some((RegFile::F, 3))),
             ],
         };
@@ -1078,56 +1015,60 @@ def f(x, y):
         let vm = Vm::new(&p);
         let xs = [1.5, -2.0, 0.25, 7.0];
         let ys = [0.5, 3.0, -1.25, 2.0];
-        let mut a = [0.0; 4];
-        let mut b = [0.0; 4];
-        vm.run_f64_multi_chunk(0, &[&xs, &ys], &[2, 3], &mut [&mut a, &mut b])
+        let (mut a, mut b, mut c) = ([0.0; 4], [0.0; 4], [0.0; 4]);
+        let outs = [(RegFile::F, 2), (RegFile::F, 3), (RegFile::I, 0)];
+        vm.run_chunk(0, &[&xs, &ys], &outs, &mut [&mut a, &mut b, &mut c])
             .unwrap();
         for i in 0..4 {
+            let prod = (xs[i] + ys[i]) * xs[i];
             assert_eq!(a[i].to_bits(), (xs[i] + ys[i]).to_bits());
-            assert_eq!(b[i].to_bits(), ((xs[i] + ys[i]) * xs[i]).to_bits());
+            assert_eq!(b[i].to_bits(), prod.to_bits());
+            assert_eq!(c[i], f64::from(u8::from(prod < xs[i])));
         }
-        // The Ret register row must agree with the single-output path.
-        let mut single = [0.0; 4];
-        vm.run_f64_chunk(0, &[&xs, &ys], &mut single).unwrap();
-        assert_eq!(b, single);
         // Out-of-range output register is a runtime error, not UB.
         let err = vm
-            .run_f64_multi_chunk(0, &[&xs, &ys], &[9], &mut [&mut a])
+            .run_chunk(0, &[&xs, &ys], &[(RegFile::F, 9)], &mut [&mut a])
             .unwrap_err();
         assert!(matches!(err, SeamlessError::Runtime(_)));
     }
 
     #[test]
-    fn run_f64_multi_chunk_interpreter_fallback_matches() {
+    fn run_chunk_per_lane_fallback_matches_host_arithmetic() {
         // A looping function is not chunk-vectorizable; the per-lane
-        // fallback must still read registers out correctly.
+        // fallback must agree with boxed calls, in f64 and in i64 rows.
         let src = "
 def f(x, y):
     acc = x
     i = 0
     while i < 3:
-        acc = acc * 2.0 + y
+        acc = acc * 2 + y
         i = i + 1
     return acc
 ";
         let m = parse_module(src).unwrap();
-        let p = compile_program(&m, "f", &[Type::Float, Type::Float]).unwrap();
-        let vm = Vm::new(&p);
-        let xs = [1.0, 4.0, -2.5, 0.0];
-        let ys = [3.0, 1.0, -2.5, 7.25];
-        let ret_reg = match p.funcs[0].instrs.iter().rev().find_map(|i| match i {
-            Instr::Ret(Some((RegFile::F, r))) => Some(*r),
-            _ => None,
-        }) {
-            Some(r) => r,
-            None => return, // compiler changed Ret shape; nothing to probe
-        };
-        let mut multi = [0.0; 4];
-        vm.run_f64_multi_chunk(0, &[&xs, &ys], &[ret_reg], &mut [&mut multi])
-            .unwrap();
-        let mut single = [0.0; 4];
-        vm.run_f64_chunk(0, &[&xs, &ys], &mut single).unwrap();
-        assert_eq!(multi, single);
+        for (t, xs, ys) in [
+            (Type::Float, [1.0, 4.0, -2.5, 0.0], [3.0, 1.0, -2.5, 7.25]),
+            (Type::Int, [1.0, 4.0, -2.0, 0.0], [3.0, 1.0, -2.0, 7.0]),
+        ] {
+            let p = compile_program(&m, "f", &[t, t]).unwrap();
+            let vm = Vm::new(&p);
+            let ret = p.funcs[0].ret_reg().unwrap();
+            let mut out = [0.0; 4];
+            let mut iout = [0i64; 4];
+            if t == Type::Float {
+                vm.run_chunk(0, &[&xs, &ys], &[ret], &mut [&mut out])
+                    .unwrap();
+            } else {
+                let (xi, yi) = (xs.map(|v| v as i64), ys.map(|v| v as i64));
+                vm.run_chunk(0, &[&xi, &yi], &[ret], &mut [&mut iout])
+                    .unwrap();
+                out = iout.map(|v| v as f64);
+            }
+            for i in 0..4 {
+                let expect = (0..3).fold(xs[i], |acc, _| acc * 2.0 + ys[i]);
+                assert_eq!(out[i], expect, "{t:?} lane {i}");
+            }
+        }
     }
 
     #[test]

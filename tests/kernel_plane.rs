@@ -1,11 +1,12 @@
 //! Kernel-plane determinism: the Seamless-JIT path (`Expr::eval`,
-//! `Kernel::map`) must be bitwise-identical to the interpreted RPN path
-//! at every pool width, under seeded chaos, and across a
-//! checkpoint/recover cycle that respawns the whole worker pool.
+//! `Kernel::map`) must be bitwise-identical to the reference evaluator
+//! (`Expr::eval_rpn`) at every pool width, under seeded chaos, and across
+//! a checkpoint/recover cycle that respawns the whole worker pool.
 
 use std::time::Duration;
 
 use hpc_framework::comm::{Delivery, FaultPlan};
+use hpc_framework::odin::BinOp;
 use hpc_framework::odin::OdinError;
 use hpc_framework::prelude::*;
 use hpc_framework::seamless::codegen;
@@ -49,7 +50,7 @@ fn probe_expr<'x, 'c>(x: &'x DistArray<'c>, y: &'x DistArray<'c>) -> Expr<'x, 'c
 fn jitted_matches_interpreted_at_every_pool_width() {
     let _g = stats_read();
     // Same data, same expression, 1–8 ranks: the jitted bytecode result
-    // must equal the interpreted RPN result bit for bit, and both must be
+    // must equal the reference evaluator's bit for bit, and both must be
     // independent of the pool width.
     let mut reference: Option<Vec<u64>> = None;
     for workers in 1..=8usize {
@@ -211,7 +212,7 @@ fn a_kernel_registers_once_and_invokes_stay_small() {
     let _g = stats_read();
     // Integration-level check of the wire contract: after the first use,
     // re-invoking a kernel (or re-evaluating a structurally identical
-    // Expr) broadcasts one sub-100-byte EvalKernel and nothing else.
+    // Expr) broadcasts one sub-100-byte kernel launch and nothing else.
     let ctx = OdinContext::with_workers(2);
     let sq = ctx
         .compile_kernel("def sq(a):\n    return a * a\n", "sq")
@@ -370,6 +371,13 @@ fn native_and_vm_tiers_match_bitwise_at_widths_1_to_8_across_dtypes() {
             ivm.map(&[&xi, &yi]).to_vec_i64(),
             "i64 tiers diverged at {workers} workers"
         );
+        for kind in [ReduceKind::Sum, ReduceKind::Max] {
+            assert_eq!(
+                iauto.map_reduce(&[&xi, &yi], kind).to_bits(),
+                ivm.map_reduce(&[&xi, &yi], kind).to_bits(),
+                "i64 fused {kind:?} diverged at {workers} workers"
+            );
+        }
 
         // bool plane (i64 ABI with 0/1 rows)
         let bsrc = "def same(a, b):\n    return a == b\n";
@@ -387,7 +395,61 @@ fn native_and_vm_tiers_match_bitwise_at_widths_1_to_8_across_dtypes() {
             bvm.map(&[&xb, &yb]).to_vec_i64(),
             "bool tiers diverged at {workers} workers"
         );
+        assert_eq!(
+            bauto
+                .map_reduce(&[&xb, &yb], ReduceKind::CountNonzero)
+                .to_bits(),
+            bvm.map_reduce(&[&xb, &yb], ReduceKind::CountNonzero)
+                .to_bits(),
+            "bool fused count diverged at {workers} workers"
+        );
+
+        // f64 compute returning a comparison: the result lives in the
+        // integer register file
+        let csrc = "def gt(a, b):\n    return a > b\n";
+        let cauto = ctx.kernel(csrc, "gt").build().unwrap();
+        let cvm = ctx.kernel(csrc, "gt").tier(Tier::Vm).build().unwrap();
+        if codegen::native_available() {
+            assert_eq!(cauto.tier(), Tier::Native, "f64 compare failed to arm");
+        }
+        let (mn, mv) = (cauto.map(&[&a, &b]), cvm.map(&[&a, &b]));
+        assert_eq!((mn.dtype(), mv.dtype()), (DType::Bool, DType::Bool));
+        assert_eq!(
+            mn.to_vec_i64(),
+            mv.to_vec_i64(),
+            "f64 compare tiers diverged at {workers} workers"
+        );
+        assert_eq!(
+            cauto.map_reduce(&[&a, &b], ReduceKind::Sum).to_bits(),
+            cvm.map_reduce(&[&a, &b], ReduceKind::Sum).to_bits(),
+            "f64 compare fused sum diverged at {workers} workers"
+        );
     }
+}
+
+#[test]
+fn array_exponent_matches_eager_pow_on_every_lane() {
+    let _g = stats_read();
+    // `x ** y` with `y` an *array* that holds one repeated value: the
+    // kernel plane and eager `binary(Pow)` run `powf`, and so must the
+    // reference — `powi` is only for constant exponents, so the answer
+    // cannot depend on whether a chunk of `y` happens to look uniform.
+    let ctx = OdinContext::with_workers(2);
+    let n = 10_000;
+    let x = ctx.linspace(0.37, 9.3, n);
+    let y = ctx.full(&[n], 3.0, Dist::Block);
+    let pow = || {
+        Expr::Binary(
+            BinOp::Pow,
+            Box::new(Expr::leaf(&x)),
+            Box::new(Expr::leaf(&y)),
+        )
+    };
+    let eval = bits(&pow().eval().to_vec());
+    let reference = bits(&pow().eval_rpn().to_vec());
+    let eager = bits(&x.binary(&y, BinOp::Pow).to_vec());
+    assert_eq!(eval, reference, "Expr::eval differs from the reference");
+    assert_eq!(reference, eager, "the reference differs from eager pow");
 }
 
 #[test]
