@@ -32,6 +32,12 @@ cargo test -q --offline --workspace
 echo "== workspace tests again with metrics recording on"
 HPC_METRICS=1 cargo test -q --offline --workspace
 
+echo "== perfbench self-tests (tiny-scale smoke of every benchmark workload)"
+# The benchmark is its own workspace, so --workspace above skips it. Its
+# smoke runs each workload's per-cycle checks, including bulk's bitwise
+# comparison of the VM tier against the reference evaluator.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== kernel plane again with the native tier pinned off"
 # The VM fallback must stay a first-class execution path, not a
 # degraded one: the full kernel-plane suite (parity, chaos, recover)

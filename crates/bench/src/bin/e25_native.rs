@@ -240,7 +240,15 @@ fn main() {
         fmt_s(t_inv_native),
         fmt_s(t_inv_vm)
     );
-    if native_k.tier() == Tier::Native && t_inv_vm > t_inv_native {
+    if native_k.tier() != Tier::Native {
+        println!("  no break-even: the kernel stayed on the VM, so no compile cost is paid");
+    } else if t_inv_vm <= t_inv_native {
+        println!(
+            "  no break-even: VM invoke {} <= native invoke {}, so the compile cost never pays back",
+            fmt_s(t_inv_vm),
+            fmt_s(t_inv_native)
+        );
+    } else {
         let breakeven = (t_compile / (t_inv_vm - t_inv_native)).ceil() as u64;
         println!("  break-even after {breakeven} invoke(s); cumulative cost curve:");
         println!("    invokes |    vm-only |  native+compile");

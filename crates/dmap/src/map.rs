@@ -365,19 +365,83 @@ impl DistMap {
     /// element traffic a redistribute from `self` to `target` must move.
     /// Both maps need a global owner view (structured maps); `None`
     /// otherwise, or when the maps don't describe the same index space.
+    ///
+    /// Closed form per rank, independent of `n_global`: `n` minus the
+    /// gids each rank owns under both maps. Block × anything is O(1) per
+    /// rank; two block-cyclic maps with blocks `b1 ≠ b2` cost
+    /// O(min(b1, b2) / gcd(b1, b2)) per rank.
     pub fn moved_count(&self, target: &DistMap) -> Option<usize> {
-        if self.n_global != target.n_global
-            || self.n_ranks != target.n_ranks
-            || !self.has_global_view()
-            || !target.has_global_view()
-        {
+        if self.n_global != target.n_global || self.n_ranks != target.n_ranks {
             return None;
         }
-        Some(
-            (0..self.n_global)
-                .filter(|&g| self.owner_of(g) != target.owner_of(g))
-                .count(),
-        )
+        let (n, p) = (self.n_global, self.n_ranks);
+        let stay = (0..p)
+            .map(|r| Some(kept_on(n, p, r, self.owned_by(r)?, target.owned_by(r)?)))
+            .sum::<Option<usize>>()?;
+        Some(n - stay)
+    }
+
+    /// The gids rank `r` owns, in the shape [`kept_on`] intersects.
+    fn owned_by(&self, r: usize) -> Option<Owned> {
+        match &self.kind {
+            MapKind::Block { offsets } => Some(Owned::Range(offsets[r], offsets[r + 1])),
+            MapKind::Cyclic => Some(Owned::Dealt(1)),
+            MapKind::BlockCyclic { block } => Some(Owned::Dealt(*block)),
+            MapKind::Arbitrary { .. } => None,
+        }
+    }
+}
+
+/// One rank's gids under a structured map.
+#[derive(Clone, Copy)]
+enum Owned {
+    /// The contiguous run `lo..hi`.
+    Range(usize, usize),
+    /// Blocks of this many gids dealt round-robin; the rank owns every
+    /// `p`-th block, starting at its own rank (cyclic is block 1).
+    Dealt(usize),
+}
+
+/// How many of the `n` gids rank `r` (of `p`) owns under both `a` and `b`.
+fn kept_on(n: usize, p: usize, r: usize, a: Owned, b: Owned) -> usize {
+    // gids below x rank r owns when blocks of `blk` are dealt round-robin
+    let dealt_below = |x: usize, blk: usize| block_cyclic_count(x, blk, p, r);
+    match (a, b) {
+        (Owned::Range(a0, a1), Owned::Range(b0, b1)) => a1.min(b1).saturating_sub(a0.max(b0)),
+        (Owned::Range(lo, hi), Owned::Dealt(blk)) | (Owned::Dealt(blk), Owned::Range(lo, hi)) => {
+            dealt_below(hi, blk) - dealt_below(lo, blk)
+        }
+        (Owned::Dealt(b1), Owned::Dealt(b2)) if b1 == b2 => dealt_below(n, b1),
+        (Owned::Dealt(b1), Owned::Dealt(b2)) => {
+            let (fine, coarse) = (b1.min(b2), b1.max(b2));
+            // Walk rank r's coarse blocks below x, counting the fine
+            // pattern's share of each.
+            let both_below = |x: usize| {
+                (0..)
+                    .map(|k: usize| (k * p + r) * coarse)
+                    .take_while(|&start| start < x)
+                    .map(|start| {
+                        dealt_below((start + coarse).min(x), fine) - dealt_below(start, fine)
+                    })
+                    .sum::<usize>()
+            };
+            // Both patterns repeat every p·lcm(b1, b2) gids.
+            let lcm = (coarse / gcd(fine, coarse)).checked_mul(fine);
+            match lcm.and_then(|l| l.checked_mul(p)) {
+                Some(period) if period < n => {
+                    (n / period) * both_below(period) + both_below(n % period)
+                }
+                _ => both_below(n),
+            }
+        }
+    }
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 
@@ -403,6 +467,8 @@ fn block_count_cyclic(n: usize, p: usize, r: usize) -> usize {
     n / p + usize::from(r < n % p)
 }
 
+/// How many of the gids `0..n` rank `r` owns when blocks of `block` are
+/// dealt round-robin over `p` ranks.
 fn block_cyclic_count(n: usize, block: usize, p: usize, r: usize) -> usize {
     let cycle = block * p;
     let full_cycles = n / cycle;
@@ -484,6 +550,50 @@ mod tests {
         // Symmetric, and off for mismatched index spaces.
         assert_eq!(cyclic.moved_count(&block), Some(moved));
         assert_eq!(block.moved_count(&DistMap::block(13, 3, 0)), None);
+        assert_eq!(block.moved_count(&DistMap::block(12, 4, 0)), None);
+    }
+
+    #[test]
+    fn moved_count_closed_form_matches_owner_walk() {
+        // Every pair of structured kinds — block (uniform and from
+        // uneven counts, empty ranks included), cyclic, block-cyclic —
+        // against the brute-force per-gid owner comparison.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        for n in 0..=200 {
+            for p in 1..=5 {
+                let mut maps = vec![DistMap::block(n, p, 0), DistMap::cyclic(n, p, 0)];
+                for _ in 0..2 {
+                    let mut counts = vec![0; p];
+                    for _ in 0..n {
+                        counts[next(p)] += 1;
+                    }
+                    // empty one rank into another
+                    let (from, to) = (next(p), next(p));
+                    let c = std::mem::take(&mut counts[from]);
+                    counts[to] += c;
+                    maps.push(DistMap::block_from_counts(&counts, 0));
+                }
+                maps.extend((1..=7).map(|b| DistMap::block_cyclic(n, b, p, 0)));
+                for a in &maps {
+                    for b in &maps {
+                        let walk = (0..n).filter(|&g| a.owner_of(g) != b.owner_of(g)).count();
+                        assert_eq!(
+                            a.moved_count(b),
+                            Some(walk),
+                            "n={n} p={p} {:?} -> {:?}",
+                            a.kind,
+                            b.kind
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -571,6 +681,7 @@ mod tests {
             assert_eq!(map.my_gids(), gids);
             assert!(!map.has_global_view());
             check_bijection(&map);
+            assert_eq!(map.moved_count(&DistMap::block(12, 3, comm.rank())), None);
             map.my_count()
         });
         assert_eq!(out, vec![4, 4, 4]);

@@ -283,6 +283,62 @@ impl CompiledFunc {
             _ => None,
         })
     }
+
+    /// The straight-line body: every instruction before the function's
+    /// scalar `Ret`, when the function is one block of infallible scalar
+    /// instructions (no jumps, calls, array or fallible integer ops)
+    /// ending in a `Ret` of an `F`- or `I`-file register; `None`
+    /// otherwise. `compile_program` appends a `Ret(None)` epilogue after
+    /// every body, so source kernels end `[…, Ret(Some(r)), Ret(None)]`;
+    /// the epilogue is stripped first — with no jumps it is unreachable.
+    ///
+    /// This is the one class both fast kernel paths execute: the VM's
+    /// register-vectorized chunk pass and the native C tier.
+    pub fn straight_line_body(&self) -> Option<&[Instr]> {
+        let mut n = self.instrs.len();
+        while n > 1 && matches!(self.instrs[n - 1], Instr::Ret(None)) {
+            n -= 1;
+        }
+        let (last, body) = self.instrs[..n].split_last()?;
+        let scalar_ret = matches!(last, Instr::Ret(Some((RegFile::F | RegFile::I, _))));
+        let straight = body.iter().all(|ins| {
+            matches!(
+                ins,
+                Instr::ConstF(..)
+                    | Instr::ConstI(..)
+                    | Instr::MovF(..)
+                    | Instr::MovI(..)
+                    | Instr::IToF(..)
+                    | Instr::FToI(..)
+                    | Instr::AddF(..)
+                    | Instr::SubF(..)
+                    | Instr::MulF(..)
+                    | Instr::DivF(..)
+                    | Instr::ModF(..)
+                    | Instr::PowF(..)
+                    | Instr::NegF(..)
+                    | Instr::AddI(..)
+                    | Instr::SubI(..)
+                    | Instr::MulI(..)
+                    | Instr::NegI(..)
+                    | Instr::CmpF(..)
+                    | Instr::CmpI(..)
+                    | Instr::AndI(..)
+                    | Instr::OrI(..)
+                    | Instr::NotI(..)
+                    | Instr::Math1(..)
+                    | Instr::Math2(..)
+                    | Instr::PowIC(..)
+                    | Instr::RemF(..)
+                    | Instr::AbsI(..)
+                    | Instr::MinF(..)
+                    | Instr::MaxF(..)
+                    | Instr::MinI(..)
+                    | Instr::MaxI(..)
+            )
+        });
+        (scalar_ret && straight).then_some(body)
+    }
 }
 
 /// A compiled program: the entry function plus everything it calls,

@@ -194,7 +194,7 @@ impl<'p> Vm<'p> {
         if len == 0 {
             return Ok(());
         }
-        if chunk_vectorizable(f) {
+        if let Some(body) = vector_body(f) {
             // Row stride = len rounded away from a multiple of the
             // cache-line count: callers hand over power-of-two chunks
             // (4096 lanes), and exactly power-of-two row spacing lands
@@ -204,7 +204,7 @@ impl<'p> Vm<'p> {
             let stride = len + 8;
             let mut lanes = self.lanes.borrow_mut();
             let Lanes { f: fl, i: il } = &mut *lanes;
-            vector_pass(f, inputs, len, stride, fl, il);
+            vector_pass(f, body, inputs, len, stride, fl, il);
             for (&(file, r), row) in outs.iter().zip(rows.iter_mut()) {
                 let at = r as usize * stride;
                 match file {
@@ -318,14 +318,16 @@ fn row_from<S: Copy, T>(row: &mut [T], src: &[S], conv: impl Fn(S) -> T) {
 /// Register-vectorized execution of a straight-line scalar function:
 /// each register becomes a lane-major row and every instruction is one
 /// tight loop over the whole chunk. Stages the parameters into their
-/// register rows, then runs every instruction except the trailing `Ret`;
-/// the caller reads the result rows it needs out of `fl`/`il`. Only
-/// reached when [`chunk_vectorizable`] accepted the function, which
-/// guarantees straight-line infallible instructions and, per instruction,
-/// a destination register strictly above its same-file sources (so the
-/// row splits below never alias).
+/// register rows, then runs `body` (the function's
+/// [`CompiledFunc::straight_line_body`]); the caller reads the result
+/// rows it needs out of `fl`/`il`. Only reached with a body
+/// [`vector_body`] accepted, which guarantees straight-line infallible
+/// instructions and, per computing instruction, a destination register
+/// strictly above its same-file sources (so the row splits below never
+/// alias).
 fn vector_pass<T: Lane>(
     f: &CompiledFunc,
+    body: &[Instr],
     inputs: &[&[T]],
     len: usize,
     stride: usize,
@@ -382,12 +384,21 @@ fn vector_pass<T: Lane>(
                 }
             }};
         }
-        for ins in &f.instrs[..f.instrs.len() - 1] {
+        for ins in body {
             match ins {
                 Instr::ConstF(d, v) => fl[*d as usize * stride..][..len].fill(*v),
                 Instr::ConstI(d, v) => il[*d as usize * stride..][..len].fill(*v),
-                Instr::MovF(d, s) => ff1!(d, s, |x| x),
-                Instr::MovI(d, s) => ii1!(d, s, |x| x),
+                // a copy needs no split, so it has no ordering rule: an
+                // assignment moves a fresh value down into a variable's
+                // (lower) register
+                Instr::MovF(d, s) => {
+                    let at = *s as usize * stride;
+                    fl.copy_within(at..at + len, *d as usize * stride);
+                }
+                Instr::MovI(d, s) => {
+                    let at = *s as usize * stride;
+                    il.copy_within(at..at + len, *d as usize * stride);
+                }
                 Instr::IToF(d, s) => {
                     let dst = &mut fl[*d as usize * stride..][..len];
                     let src = &il[*s as usize * stride..][..len];
@@ -481,7 +492,7 @@ fn vector_pass<T: Lane>(
                 Instr::MaxF(d, a, b) => ff2!(d, a, b, |x: f64, y: f64| x.max(y)),
                 Instr::MinI(d, a, b) => ii2!(d, a, b, |x: i64, y: i64| x.min(y)),
                 Instr::MaxI(d, a, b) => ii2!(d, a, b, |x: i64, y: i64| x.max(y)),
-                // chunk_vectorizable admits nothing else
+                // straight_line_body admits nothing else
                 other => unreachable!("non-vectorizable instruction {other:?}"),
             }
         }
@@ -760,56 +771,47 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// Accept a function for the register-vectorized chunk path: a single
-/// straight-line block of infallible scalar instructions ending in a
-/// scalar `Ret`, where every destination register is strictly above its
-/// same-file source registers (fresh-register codegen, which both the
-/// pyish compiler's expression bodies and `Expr::lower` produce). The
-/// ordering is what lets each instruction split the lane buffer at the
-/// destination row and borrow its sources from below without aliasing.
-fn chunk_vectorizable(f: &CompiledFunc) -> bool {
-    let n = f.instrs.len();
-    if n == 0
-        || !matches!(
-            f.instrs[n - 1],
-            Instr::Ret(Some((RegFile::F | RegFile::I, _)))
-        )
-    {
-        return false;
-    }
-    fn above(d: &crate::bytecode::Reg, srcs: &[&crate::bytecode::Reg]) -> bool {
-        srcs.iter().all(|s| *d > **s)
-    }
-    f.instrs[..n - 1].iter().all(|ins| match ins {
-        Instr::ConstF(..) | Instr::ConstI(..) => true,
-        // cross-file: the two register files never alias
-        Instr::IToF(..) | Instr::FToI(..) | Instr::CmpF(..) => true,
-        Instr::MovF(d, s) | Instr::NegF(d, s) | Instr::Math1(_, d, s) | Instr::PowIC(d, s, _) => {
-            above(d, &[s])
-        }
-        Instr::AddF(d, a, b)
-        | Instr::SubF(d, a, b)
-        | Instr::MulF(d, a, b)
-        | Instr::DivF(d, a, b)
-        | Instr::ModF(d, a, b)
-        | Instr::PowF(d, a, b)
-        | Instr::RemF(d, a, b)
-        | Instr::MinF(d, a, b)
-        | Instr::MaxF(d, a, b)
-        | Instr::Math2(_, d, a, b) => above(d, &[a, b]),
-        Instr::MovI(d, s) | Instr::NegI(d, s) | Instr::AbsI(d, s) | Instr::NotI(d, s) => {
-            above(d, &[s])
-        }
-        Instr::AddI(d, a, b)
-        | Instr::SubI(d, a, b)
-        | Instr::MulI(d, a, b)
-        | Instr::AndI(d, a, b)
-        | Instr::OrI(d, a, b)
-        | Instr::MinI(d, a, b)
-        | Instr::MaxI(d, a, b)
-        | Instr::CmpI(_, d, a, b) => above(d, &[a, b]),
-        _ => false,
-    })
+/// The body the register-vectorized chunk path runs: the function's
+/// [`CompiledFunc::straight_line_body`], when every computing instruction
+/// writes a register strictly above its same-file sources
+/// (fresh-register codegen, which both the pyish compiler's expressions
+/// and the program-plane lowering produce). The ordering is what lets
+/// each instruction split the lane buffer at the destination row and
+/// borrow its sources from below without aliasing.
+fn vector_body(f: &CompiledFunc) -> Option<&[Instr]> {
+    let body = f.straight_line_body()?;
+    let above = |d: &Reg, srcs: &[&Reg]| srcs.iter().all(|s| d > *s);
+    body.iter()
+        .all(|ins| match ins {
+            Instr::NegF(d, s)
+            | Instr::Math1(_, d, s)
+            | Instr::PowIC(d, s, _)
+            | Instr::NegI(d, s)
+            | Instr::AbsI(d, s)
+            | Instr::NotI(d, s) => above(d, &[s]),
+            Instr::AddF(d, a, b)
+            | Instr::SubF(d, a, b)
+            | Instr::MulF(d, a, b)
+            | Instr::DivF(d, a, b)
+            | Instr::ModF(d, a, b)
+            | Instr::PowF(d, a, b)
+            | Instr::RemF(d, a, b)
+            | Instr::MinF(d, a, b)
+            | Instr::MaxF(d, a, b)
+            | Instr::Math2(_, d, a, b)
+            | Instr::AddI(d, a, b)
+            | Instr::SubI(d, a, b)
+            | Instr::MulI(d, a, b)
+            | Instr::AndI(d, a, b)
+            | Instr::OrI(d, a, b)
+            | Instr::MinI(d, a, b)
+            | Instr::MaxI(d, a, b)
+            | Instr::CmpI(_, d, a, b) => above(d, &[a, b]),
+            // constants, copies and cross-file conversions or compares
+            // (the two files never alias) take no split
+            _ => true,
+        })
+        .then_some(body)
 }
 
 fn cmp_f(c: Cmp, x: f64, y: f64) -> bool {
@@ -1069,6 +1071,136 @@ def f(x, y):
                 assert_eq!(out[i], expect, "{t:?} lane {i}");
             }
         }
+    }
+
+    /// Seeded rows for a chunk run: a few edge values, then randoms in
+    /// `[-4, 4)` (f64) or `(-1000, 1000)` (i64).
+    fn seeded_rows<T: Lane>(arity: usize, width: usize) -> Vec<Vec<T>> {
+        const EDGE: &[f64] = &[0.0, 1.0, -1.0, 0.5, -2.0, 3.0];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        (0..arity)
+            .map(|k| {
+                (0..width)
+                    .map(|lane| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                        match (T::FILE, EDGE.get(lane + k)) {
+                            (_, Some(&e)) => T::from_f64(e),
+                            (RegFile::F, None) => T::from_f64((u - 0.5) * 8.0),
+                            (_, None) => T::from_i64(((u - 0.5) * 2000.0) as i64),
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `run_chunk` harvesting the return register must give, lane by
+    /// lane, the bits of one boxed `call_func` per lane.
+    fn assert_chunk_matches_boxed<T: Lane>(p: &Program, label: &str) {
+        let f = &p.funcs[0];
+        let vm = Vm::new(p);
+        let ret = f.ret_reg().unwrap();
+        for width in (1..=8).chain([4096, 4099]) {
+            let mut rows = seeded_rows::<T>(f.params.len(), width);
+            // bool rows hold 0/1, like every bool array
+            for (t, row) in f.param_types.iter().zip(&mut rows) {
+                if *t == Type::Bool {
+                    row.iter_mut()
+                        .for_each(|v| *v = T::from_i64(i64::from(v.to_i64() != 0)));
+                }
+            }
+            let refs: Vec<&[T]> = rows.iter().map(|r| r.as_slice()).collect();
+            let mut out = vec![T::default(); width];
+            vm.run_chunk(0, &refs, &[ret], &mut [&mut out]).unwrap();
+            for lane in 0..width {
+                let args = f
+                    .param_types
+                    .iter()
+                    .zip(&rows)
+                    .map(|(t, row)| match t {
+                        Type::Float => Value::Float(row[lane].to_f64()),
+                        Type::Int => Value::Int(row[lane].to_i64()),
+                        _ => Value::Bool(row[lane].to_i64() != 0),
+                    })
+                    .collect();
+                let boxed = match vm.call_func(0, args).unwrap().ret {
+                    Value::Float(v) => T::from_f64(v),
+                    Value::Int(v) => T::from_i64(v),
+                    Value::Bool(b) => T::from_i64(i64::from(b)),
+                    other => panic!("{label}: non-scalar return {other:?}"),
+                };
+                assert_eq!(
+                    out[lane].bits(),
+                    boxed.bits(),
+                    "{label}: width {width} lane {lane}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn straight_line_source_kernels_run_vectorized_and_match_boxed_calls() {
+        // (source, entry, parameter type) — every one compiles to a body
+        // ending `[…, Ret(Some(r)), Ret(None)]` and must take the
+        // vectorized path regardless of that epilogue.
+        let table: &[(&str, &str, Type)] = &[
+            (
+                "def body(x, y):\n    return (x * 0.5 + y) * (x - y * 1.25) + (x * y + 0.75) * 2.0 - x * x * 0.125\n",
+                "body",
+                Type::Float,
+            ),
+            ("def ident(x):\n    return x\n", "ident", Type::Float),
+            ("def cube(x):\n    return x ** 3\n", "cube", Type::Float),
+            (
+                "def mm(x, y):\n    return max(min(x, y), sqrt(abs(x))) + exp(-y * y) * hypot(x, y) - floor(x)\n",
+                "mm",
+                Type::Float,
+            ),
+            ("def gt(a, b):\n    return a > b\n", "gt", Type::Float),
+            (
+                "def locals(x, y):\n    t = x * y\n    t = t + 1.0\n    u = t\n    return u * x - t\n",
+                "locals",
+                Type::Float,
+            ),
+            (
+                "def ints(a, b):\n    return max(a * b - (a + 3) * -b, abs(a)) + min(a, 7)\n",
+                "ints",
+                Type::Int,
+            ),
+            (
+                "def bools(a, b):\n    return (a and not b) or a == b\n",
+                "bools",
+                Type::Bool,
+            ),
+        ];
+        for &(src, name, t) in table {
+            let m = parse_module(src).unwrap();
+            let arity = m
+                .functions
+                .iter()
+                .find(|f| f.name == name)
+                .unwrap()
+                .params
+                .len();
+            let p = compile_program(&m, name, &vec![t; arity]).unwrap();
+            assert!(
+                matches!(p.funcs[0].instrs.last(), Some(Instr::Ret(None))),
+                "{name}: expected the compiler's Ret(None) epilogue"
+            );
+            assert!(vector_body(&p.funcs[0]).is_some(), "{name}: not vectorized");
+            match t {
+                Type::Float => assert_chunk_matches_boxed::<f64>(&p, name),
+                _ => assert_chunk_matches_boxed::<i64>(&p, name),
+            }
+        }
+        // A branch keeps the kernel on the per-lane path, with the same bits.
+        let src = "def br(x, y):\n    if x > y:\n        return x * 2.0\n    return y - x\n";
+        let p = compile_program(&parse_module(src).unwrap(), "br", &[Type::Float; 2]).unwrap();
+        assert!(vector_body(&p.funcs[0]).is_none());
+        assert_chunk_matches_boxed::<f64>(&p, "br");
     }
 
     #[test]
