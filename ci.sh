@@ -56,6 +56,13 @@ for seed in 42 1009 777216; do
   HPC_FAULT_SEED=$seed cargo test -q --offline --test observability zerocopy_region
 done
 
+echo "== E2 control-message gate (every sampled command <= 64 bytes)"
+# Runs the E2 create/ufunc/slice/reduce pipeline and the batching demo,
+# then asserts each sampled command — Create, the warm eager sqrt,
+# array-scalar and array-array kernel launches, Reduce, Free — encodes
+# in at most 64 bytes (asserted in the binary).
+cargo run --release --offline -p bench --bin e02_control_messages
+
 echo "== E19 autotune gate (Auto vs fixed collectives, alloc counting)"
 # Asserts Auto is within 5% of the best fixed algorithm at every swept
 # (ranks, payload) point and that steady-state CG iterations allocate

@@ -72,32 +72,21 @@ fn main() {
         dist: Dist::Block,
         dtype: DType::F64,
     };
-    let samples: Vec<(&str, Vec<u8>)> = vec![
+    let v = ctx.linspace(0.0, 1.0, 64);
+    let w = ctx.linspace(1.0, 2.0, 64);
+    let samples: Vec<(&str, usize)> = vec![
         (
             "Create(random, n=1e9)",
             comm::encode_to_vec(&Cmd::Create {
                 id: 42,
                 meta,
                 fill: Fill::Random { seed: 7 },
-            }),
+            })
+            .len(),
         ),
-        (
-            "Unary(sqrt)",
-            comm::encode_to_vec(&Cmd::Unary {
-                out: 43,
-                a: 42,
-                op: odin::UnaryOp::Sqrt,
-            }),
-        ),
-        (
-            "Binary(add)",
-            comm::encode_to_vec(&Cmd::Binary {
-                out: 44,
-                a: 42,
-                b: 43,
-                op: odin::BinOp::Add,
-            }),
-        ),
+        ("eager sqrt(v)", launch_bytes(&ctx, || v.sqrt())),
+        ("eager v * 2.5", launch_bytes(&ctx, || &v * 2.5)),
+        ("eager v + w", launch_bytes(&ctx, || &v + &w)),
         (
             "Reduce(sum)",
             comm::encode_to_vec(&Cmd::Reduce {
@@ -105,12 +94,29 @@ fn main() {
                 kind: odin::ReduceKind::Sum,
                 axis: None,
                 out: 0,
-            }),
+            })
+            .len(),
         ),
-        ("Free", comm::encode_to_vec(&Cmd::Free { id: 44 })),
+        ("Free", comm::encode_to_vec(&Cmd::Free { id: 44 }).len()),
     ];
     for (name, bytes) in samples {
-        println!("  {name:<24} {:>3} bytes", bytes.len());
-        assert!(bytes.len() <= 64);
+        println!("  {name:<24} {bytes:>3} bytes");
+        assert!(bytes <= 64);
     }
+}
+
+/// Bytes per control message of one warm eager ufunc: the op runs once
+/// to register its kernel, then a second issue is measured off the
+/// context's control counters — one kernel launch per worker.
+fn launch_bytes<'c>(ctx: &'c OdinContext, op: impl Fn() -> odin::DistArray<'c>) -> usize {
+    let _warm = op();
+    let before = ctx.stats();
+    let _out = op();
+    let after = ctx.stats();
+    assert_eq!(
+        after.ctrl_msgs - before.ctrl_msgs,
+        ctx.n_workers() as u64,
+        "a warm eager ufunc is one launch per worker"
+    );
+    ((after.ctrl_bytes - before.ctrl_bytes) / (after.ctrl_msgs - before.ctrl_msgs)) as usize
 }

@@ -5,14 +5,19 @@
 //! non-conformable operands insert a redistribution automatically, with a
 //! selectable strategy (§III-D: "ODIN will choose a strategy that will
 //! minimize communication, while allowing the knowledgeable user to
-//! modify its behavior").
+//! modify its behavior"). Ufuncs run on the kernel plane: each lowers one
+//! node through the `Expr` emitters and launches it like a one-statement
+//! `Expr::eval`, so eager, fused and reference evaluation share one
+//! semantics.
 
 use std::cell::Cell;
 
-use crate::buffer::{Buffer, DType};
+use crate::buffer::{binary_result_dtype, scalar_dtype, unary_result_dtype, Buffer, DType};
 use crate::context::OdinContext;
-use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, Fill, UnaryOp};
+use crate::lazy::{powic_exponent, Lowerer};
+use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, Fill, KernelOut, UnaryOp};
 use crate::slicing::SliceSpec;
+use seamless::bytecode::{Reg, RegFile};
 
 /// How non-conformable binary operands are aligned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -112,17 +117,44 @@ impl<'c> DistArray<'c> {
         self.meta().dist
     }
 
-    fn unary(&self, op: UnaryOp) -> DistArray<'c> {
+    /// Launch one lowered ufunc node — the eager ufunc path. `emit`
+    /// writes the node over the parameter registers (the `inputs`, then
+    /// the `scalars`) and returns its result register; the program is
+    /// registered once per distinct body and every call is one
+    /// [`Cmd::EvalKernelMulti`] with `scalars` as launch parameters. It
+    /// computes in f64 like `Expr::eval` and runs on the VM tier (no C
+    /// build on first use); the output is typed by `meta`.
+    fn launch_node(
+        &self,
+        meta: ArrayMeta,
+        inputs: Vec<u64>,
+        scalars: Vec<f64>,
+        emit: impl FnOnce(&mut Lowerer) -> Reg,
+    ) -> DistArray<'c> {
+        let mut lw = Lowerer::new(inputs.len() + scalars.len());
+        let ret = emit(&mut lw);
+        let kernel = self.ctx.register_kernel_program(lw.finish(ret));
         let out = self.ctx.alloc_id();
-        let mut meta = self.meta();
-        meta.dtype = crate::buffer::unary_result_dtype(op, meta.dtype);
-        self.ctx.send_cmd(&Cmd::Unary {
-            out,
-            a: self.id,
-            op,
+        self.ctx.send_cmd(&Cmd::EvalKernelMulti {
+            kernel,
+            inputs,
+            scalars,
+            outs: vec![KernelOut::Array {
+                id: out,
+                dtype: meta.dtype,
+                reg: (RegFile::F, ret),
+            }],
+            dtype: DType::F64,
+            native: false,
         });
         self.ctx.record_meta(out, meta);
         DistArray::from_id(self.ctx, out)
+    }
+
+    fn unary(&self, op: UnaryOp) -> DistArray<'c> {
+        let mut meta = self.meta();
+        meta.dtype = unary_result_dtype(op, meta.dtype);
+        self.launch_node(meta, vec![self.id], Vec::new(), |lw| lw.emit_unary(op, 0))
     }
 
     /// Elementwise binary ufunc with automatic alignment.
@@ -165,39 +197,30 @@ impl<'c> DistArray<'c> {
         mb: &ArrayMeta,
         op: BinOp,
     ) -> DistArray<'c> {
-        let out = self.ctx.alloc_id();
         let mut meta = ma.clone();
-        meta.dtype = crate::buffer::binary_result_dtype(op, ma.dtype, mb.dtype);
-        self.ctx.send_cmd(&Cmd::Binary {
-            out,
-            a: self.id,
-            b: rhs_id,
-            op,
-        });
-        self.ctx.record_meta(out, meta);
-        DistArray::from_id(self.ctx, out)
+        meta.dtype = binary_result_dtype(op, ma.dtype, mb.dtype);
+        self.launch_node(meta, vec![self.id, rhs_id], Vec::new(), |lw| {
+            lw.emit_binary(op, 0, 1)
+        })
     }
 
-    /// Binary ufunc against a broadcast scalar.
+    /// Binary ufunc against a broadcast scalar. `x ** c` with a small
+    /// integral `c` bakes `powi` into the kernel, as `Expr` does; every
+    /// other scalar is a launch parameter, so all values share one kernel.
     pub fn binary_scalar(&self, scalar: f64, op: BinOp, scalar_left: bool) -> DistArray<'c> {
-        let out = self.ctx.alloc_id();
-        let ma = self.meta();
-        let scalar_dtype = if scalar.fract() == 0.0 {
-            DType::I64
-        } else {
-            DType::F64
-        };
-        let mut meta = ma.clone();
-        meta.dtype = crate::buffer::binary_result_dtype(op, ma.dtype, scalar_dtype);
-        self.ctx.send_cmd(&Cmd::BinaryScalar {
-            out,
-            a: self.id,
-            scalar,
-            op,
-            scalar_left,
-        });
-        self.ctx.record_meta(out, meta);
-        DistArray::from_id(self.ctx, out)
+        let mut meta = self.meta();
+        meta.dtype = binary_result_dtype(op, meta.dtype, scalar_dtype(scalar));
+        let inputs = vec![self.id];
+        match powic_exponent(scalar).filter(|_| op == BinOp::Pow && !scalar_left) {
+            Some(e) => self.launch_node(meta, inputs, Vec::new(), |lw| lw.emit_pow_const(0, e)),
+            None => self.launch_node(meta, inputs, vec![scalar], |lw| {
+                if scalar_left {
+                    lw.emit_binary(op, 1, 0)
+                } else {
+                    lw.emit_binary(op, 0, 1)
+                }
+            }),
+        }
     }
 
     /// Cast to another dtype.
@@ -636,6 +659,169 @@ mod tests {
         let as_f = x.astype(DType::F64);
         assert_eq!(as_f.dtype(), DType::F64);
         assert_eq!(as_f.to_vec(), vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn huge_integral_scalar_types_master_and_workers_alike() {
+        // 1e300 is integral, so the result is typed I64 on the master; the
+        // workers must store I64 too, or the fetch cannot place segments.
+        let ctx = OdinContext::with_workers(2);
+        let x = ctx.arange(4);
+        let r = &x + 1e300;
+        assert_eq!(r.dtype(), DType::I64);
+        assert_eq!(r.fetch().1.dtype(), DType::I64);
+        // f64 compute, then the saturating `as i64` cast — as in Expr::eval
+        assert_eq!(r.to_vec_i64(), vec![i64::MAX; 4]);
+        let fused = (crate::lazy::Expr::leaf(&x) + 1e300).eval();
+        assert_eq!(fused.to_vec_i64(), r.to_vec_i64());
+    }
+
+    /// Dtype plus bit pattern of every element, so NaNs compare equal.
+    fn bits_of(a: &DistArray<'_>) -> (DType, Vec<u64>) {
+        let (_, buf) = a.fetch();
+        let bits = match &buf {
+            Buffer::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+            Buffer::I64(v) => v.iter().map(|&x| x as u64).collect(),
+            Buffer::Bool(v) => v.iter().map(|&x| u64::from(x)).collect(),
+        };
+        (buf.dtype(), bits)
+    }
+
+    fn typed<'c>(ctx: &'c OdinContext, values: &[f64], dtype: DType) -> DistArray<'c> {
+        ctx.from_vec(values, Dist::Block).astype(dtype)
+    }
+
+    /// Eager ufunc expectations written out by hand.
+    fn eager_literals(ctx: &OdinContext) {
+        let v = |values: &[f64], dtype| typed(ctx, values, dtype);
+        let got = |a: DistArray<'_>| (a.dtype(), a.to_vec());
+        // unary: float math, integer sign ops stay integral, not is bool
+        let f = v(&[0.0, 1.0, 4.0], DType::F64);
+        assert_eq!(got(f.sqrt()), (DType::F64, vec![0.0, 1.0, 2.0]));
+        let i = v(&[-2.0, 3.0], DType::I64);
+        assert_eq!(got(-&i), (DType::I64, vec![2.0, -3.0]));
+        assert_eq!(got(i.abs()), (DType::I64, vec![2.0, 3.0]));
+        assert_eq!(got(v(&[0.0], DType::I64).sin()), (DType::F64, vec![0.0]));
+        let b = v(&[1.0, 0.0], DType::Bool);
+        assert_eq!(got(b.logical_not()), (DType::Bool, vec![0.0, 1.0]));
+        // binary promotion; int / int is true division
+        let i = v(&[1.0, 2.0, 3.0], DType::I64);
+        let f = v(&[0.5, 0.5, 0.5], DType::F64);
+        assert_eq!(got(&i + &f), (DType::F64, vec![1.5, 2.5, 3.5]));
+        assert_eq!(got(&i + &i), (DType::I64, vec![2.0, 4.0, 6.0]));
+        assert_eq!(
+            got(i.binary(&i, BinOp::Div)),
+            (DType::F64, vec![1.0, 1.0, 1.0])
+        );
+        let b = v(&[1.0, 1.0, 0.0], DType::Bool);
+        assert_eq!(got(&b + &b), (DType::I64, vec![2.0, 2.0, 0.0]));
+        // comparisons yield bool
+        let x = v(&[1.0, 2.0, 3.0], DType::F64);
+        let y = v(&[2.0, 2.0, 2.0], DType::F64);
+        assert_eq!(got(x.lt(&y)), (DType::Bool, vec![1.0, 0.0, 0.0]));
+        let ge = x.binary(&y, BinOp::Ge);
+        assert_eq!(got(ge), (DType::Bool, vec![0.0, 1.0, 1.0]));
+        // scalars broadcast on either side; an integral scalar keeps an
+        // integer array integral, a fractional one promotes
+        let x = v(&[1.0, 2.0], DType::F64);
+        assert_eq!(got(&x - 1.0), (DType::F64, vec![0.0, 1.0]));
+        assert_eq!(got(1.0 - &x), (DType::F64, vec![0.0, -1.0]));
+        let i = v(&[3.0, 4.0], DType::I64);
+        assert_eq!(got(&i * 2.0), (DType::I64, vec![6.0, 8.0]));
+        assert_eq!(got(&i * 0.5), (DType::F64, vec![1.5, 2.0]));
+        // hypot and atan2
+        let (three, four) = (v(&[3.0], DType::F64), v(&[4.0], DType::F64));
+        assert_eq!(three.hypot(&four).to_vec(), vec![5.0]);
+        let t = four.binary(&three, BinOp::Atan2).to_vec();
+        assert!((t[0] - 4.0f64.atan2(3.0)).abs() < 1e-15);
+        // integer `%` computes in f64: the sign follows the dividend, and
+        // a zero divisor gives NaN, which the I64 cast stores as 0
+        let n = v(&[-7.0, 7.0, -7.0, 5.0], DType::I64);
+        let d = v(&[3.0, -3.0, -3.0, 0.0], DType::I64);
+        assert_eq!(got(&n % &d), (DType::I64, vec![-1.0, 1.0, -1.0, 0.0]));
+    }
+
+    #[test]
+    fn eager_ufuncs_match_expr_eval_and_the_reference_bitwise() {
+        use crate::lazy::Expr;
+        const UNARY: [UnaryOp; 11] = [
+            UnaryOp::Neg,
+            UnaryOp::Abs,
+            UnaryOp::Not,
+            UnaryOp::Sin,
+            UnaryOp::Cos,
+            UnaryOp::Tan,
+            UnaryOp::Exp,
+            UnaryOp::Log,
+            UnaryOp::Sqrt,
+            UnaryOp::Floor,
+            UnaryOp::Ceil,
+        ];
+        const BINARY: [BinOp; 18] = [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::Div,
+            BinOp::Pow,
+            BinOp::Mod,
+            BinOp::Max,
+            BinOp::Min,
+            BinOp::Hypot,
+            BinOp::Atan2,
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+            BinOp::And,
+            BinOp::Or,
+        ];
+        const DTYPES: [DType; 3] = [DType::F64, DType::I64, DType::Bool];
+        // signs, zeros, fractions and repeats, so `%`, `/`, comparisons
+        // and the transcendental domains all hit their edge lanes
+        let xs = [-7.0, 7.5, -2.25, 0.0, 3.0, 5.0, -1.0, 2.0, 0.75, 9.0, -3.5];
+        let ys = [3.0, -3.0, -3.0, 0.0, 3.0, 0.0, 2.5, -2.0, 1.0, 4.0, -0.5];
+        let check = |eager: DistArray<'_>, e: Expr<'_, '_>, what: &str| {
+            let want = bits_of(&e.eval_rpn());
+            assert_eq!(bits_of(&e.eval()), want, "Expr::eval vs reference: {what}");
+            assert_eq!(bits_of(&eager), want, "eager vs reference: {what}");
+        };
+        for workers in 1..=4 {
+            let ctx = OdinContext::with_workers(workers);
+            eager_literals(&ctx);
+            for da in DTYPES {
+                let a = typed(&ctx, &xs, da);
+                for op in UNARY {
+                    let e = Expr::Unary(op, Box::new(Expr::leaf(&a)));
+                    check(a.unary(op), e, &format!("{op:?}({da:?}) @{workers}"));
+                }
+                for op in BINARY {
+                    for db in DTYPES {
+                        let b = typed(&ctx, &ys, db);
+                        let e =
+                            Expr::Binary(op, Box::new(Expr::leaf(&a)), Box::new(Expr::leaf(&b)));
+                        let what = format!("{da:?} {op:?} {db:?} @{workers}");
+                        check(a.binary(&b, op), e, &what);
+                    }
+                    for s in [2.0, -3.0, 0.5] {
+                        let right =
+                            Expr::Binary(op, Box::new(Expr::leaf(&a)), Box::new(Expr::scalar(s)));
+                        let what = format!("{da:?} {op:?} {s} @{workers}");
+                        check(a.binary_scalar(s, op, false), right, &what);
+                        let left =
+                            Expr::Binary(op, Box::new(Expr::scalar(s)), Box::new(Expr::leaf(&a)));
+                        let what = format!("{s} {op:?} {da:?} @{workers}");
+                        check(a.binary_scalar(s, op, true), left, &what);
+                    }
+                }
+                // `powi` for small integral exponents, `powf` otherwise
+                for c in [2.0, -3.0, 0.5, 9.0] {
+                    let what = format!("{da:?} ** {c} @{workers}");
+                    check(a.powf(c), Expr::leaf(&a).pow(c), &what);
+                }
+            }
+        }
     }
 
     #[test]

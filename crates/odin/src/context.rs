@@ -20,7 +20,7 @@ use dlinalg::DistVector;
 
 use crate::error::{OdinError, RecoveryReport};
 
-use crate::buffer::{apply_binary, apply_binary_scalar, apply_unary, Buffer, DType};
+use crate::buffer::{Buffer, DType};
 use crate::protocol::{ArrayMeta, Cmd, Dist, Fill, KernelOut, ReduceKind, ReplyMsg};
 use crate::slicing::{redistribute_worker, slice_worker};
 
@@ -617,18 +617,14 @@ impl OdinContext {
             Cmd::Free { id } => {
                 touched.remove(id);
             }
-            Cmd::Unary { out, a, .. }
-            | Cmd::BinaryScalar { out, a, .. }
-            | Cmd::AsType { out, a, .. }
+            Cmd::AsType { out, a, .. }
             | Cmd::Redistribute { out, a, .. }
             | Cmd::Slice { out, a, .. }
             | Cmd::CumSum { out, a } => {
                 touch(*out);
                 touch(*a);
             }
-            Cmd::Binary { out, a, b, .. }
-            | Cmd::Concat { out, a, b }
-            | Cmd::MatMul { out, a, b } => {
+            Cmd::Concat { out, a, b } | Cmd::MatMul { out, a, b } => {
                 touch(*out);
                 touch(*a);
                 touch(*b);
@@ -651,13 +647,7 @@ impl OdinContext {
                     touch(id);
                 }
             }
-            Cmd::EvalKernelMulti {
-                template,
-                inputs,
-                outs,
-                ..
-            } => {
-                touch(*template);
+            Cmd::EvalKernelMulti { inputs, outs, .. } => {
                 for &id in inputs {
                     touch(id);
                 }
@@ -1597,47 +1587,6 @@ fn exec_cmd(
             assert_eq!(data.len(), meta.local_len(p, rank), "bad segment length");
             arrays.insert(id, (meta, data));
         }
-        Cmd::Unary { out, a, op } => {
-            let (meta, buf) = &arrays[&a];
-            let result = apply_unary(op, buf);
-            comm.advance_compute(buf.len() as f64);
-            let out_meta = ArrayMeta {
-                dtype: result.dtype(),
-                ..meta.clone()
-            };
-            arrays.insert(out, (out_meta, result));
-        }
-        Cmd::Binary { out, a, b, op } => {
-            let (ma, ba) = &arrays[&a];
-            let (mb, bb) = &arrays[&b];
-            assert!(
-                ma.conformable(mb),
-                "binary ufunc on non-conformable arrays (master should have redistributed)"
-            );
-            let result = apply_binary(op, ba, bb);
-            comm.advance_compute(ba.len() as f64);
-            let out_meta = ArrayMeta {
-                dtype: result.dtype(),
-                ..ma.clone()
-            };
-            arrays.insert(out, (out_meta, result));
-        }
-        Cmd::BinaryScalar {
-            out,
-            a,
-            scalar,
-            op,
-            scalar_left,
-        } => {
-            let (meta, buf) = &arrays[&a];
-            let result = apply_binary_scalar(op, buf, scalar, scalar_left);
-            comm.advance_compute(buf.len() as f64);
-            let out_meta = ArrayMeta {
-                dtype: result.dtype(),
-                ..meta.clone()
-            };
-            arrays.insert(out, (out_meta, result));
-        }
         Cmd::AsType { out, a, dtype } => {
             let (meta, buf) = &arrays[&a];
             let result = buf.astype(dtype);
@@ -1919,7 +1868,6 @@ fn exec_cmd(
         }
         Cmd::EvalKernelMulti {
             kernel,
-            template,
             inputs,
             scalars,
             outs,
@@ -1928,7 +1876,6 @@ fn exec_cmd(
         } => {
             let launch = Launch {
                 program: kernels.get(&kernel).expect("unknown kernel"),
-                template,
                 inputs: &inputs,
                 scalars: &scalars,
                 outs: &outs,
@@ -2007,7 +1954,6 @@ fn cast(b: Buffer, dtype: DType) -> Buffer {
 /// One decoded [`Cmd::EvalKernelMulti`], its kernel resolved.
 struct Launch<'a> {
     program: &'a seamless::bytecode::Program,
-    template: u64,
     inputs: &'a [u64],
     scalars: &'a [f64],
     outs: &'a [KernelOut],
@@ -2039,15 +1985,15 @@ fn exec_kernel<T: Elem>(
 ) {
     let Launch {
         program,
-        template,
         inputs,
         scalars,
         outs,
         native,
     } = launch;
     let n_instrs = program.funcs.first().map_or(0, |f| f.instrs.len());
-    let t_meta = arrays[&template].0.clone();
-    let n = arrays[&template].1.len();
+    // The first input defines the outputs' geometry.
+    let (t_meta, first) = &arrays[&inputs[0]];
+    let (t_meta, n) = (t_meta.clone(), first.len());
     // Kernel event span: covers the body plus its modeled compute advance,
     // closing *before* the collective reduce tail so no comm spans nest
     // inside it (the critical-path walk treats Kernel spans as atomic

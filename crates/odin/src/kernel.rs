@@ -306,7 +306,6 @@ impl<'c> Kernel<'c> {
     fn launch(&self, inputs: Vec<u64>, out: KernelOut) -> Cmd {
         Cmd::EvalKernelMulti {
             kernel: self.id,
-            template: inputs[0],
             inputs,
             scalars: Vec::new(),
             outs: vec![out],

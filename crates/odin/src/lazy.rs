@@ -18,11 +18,12 @@
 use std::sync::Arc;
 
 use crate::array::DistArray;
-use crate::buffer::{binop_f64, Buffer, DType};
+use crate::buffer::{scalar_dtype, Buffer, DType};
 use crate::context::LocalFn;
 use crate::program::{PExpr, Program};
 use crate::protocol::{ArrayMeta, BinOp, ReduceKind, UnaryOp};
-use seamless::bytecode::{Cmp, Instr, Math2Fn, MathFn, Reg};
+use seamless::bytecode::{Cmp, CompiledFunc, Instr, Math2Fn, MathFn, Reg, RegFile};
+use seamless::Type;
 
 /// A lazy elementwise expression over distributed arrays.
 pub enum Expr<'x, 'c> {
@@ -239,13 +240,7 @@ impl<'x, 'c> Expr<'x, 'c> {
     fn infer_dtype(&self) -> DType {
         match self {
             Expr::Leaf(a) => a.dtype(),
-            Expr::Scalar(v) => {
-                if v.fract() == 0.0 {
-                    DType::I64
-                } else {
-                    DType::F64
-                }
-            }
+            Expr::Scalar(v) => scalar_dtype(*v),
             Expr::Unary(op, e) => crate::buffer::unary_result_dtype(*op, e.infer_dtype()),
             Expr::Binary(op, a, b) => {
                 crate::buffer::binary_result_dtype(*op, a.infer_dtype(), b.infer_dtype())
@@ -342,7 +337,8 @@ impl RefNode {
 }
 
 /// Expression → Seamless bytecode emitters, used by the whole-program
-/// lowering ([`crate::program`]).
+/// lowering ([`crate::program`]) and by the eager ufuncs, which lower
+/// one node each ([`DistArray`]).
 ///
 /// Produces straight-line code over the F/I register files. Every opcode
 /// choice matches the reference evaluator's f64 arithmetic
@@ -352,9 +348,10 @@ impl RefNode {
 /// `x ** c` for small integral constants strength-reduces to
 /// [`Instr::PowIC`] (`powi`).
 pub(crate) struct Lowerer {
-    pub(crate) instrs: Vec<Instr>,
-    pub(crate) n_f: Reg,
-    pub(crate) n_i: Reg,
+    instrs: Vec<Instr>,
+    n_params: usize,
+    n_f: Reg,
+    n_i: Reg,
 }
 
 /// `x ** c` strength-reduction eligibility: small integral constant
@@ -373,8 +370,27 @@ impl Lowerer {
     pub(crate) fn new(n_params: usize) -> Self {
         Lowerer {
             instrs: Vec::new(),
+            n_params,
             n_f: n_params as Reg,
             n_i: 0,
+        }
+    }
+
+    /// Close the body with `return ret` and package it as a one-function
+    /// kernel program whose parameters are the `n_params` f64 registers.
+    pub(crate) fn finish(mut self, ret: Reg) -> seamless::bytecode::Program {
+        self.instrs.push(Instr::Ret(Some((RegFile::F, ret))));
+        let n = self.n_params;
+        seamless::bytecode::Program {
+            funcs: vec![CompiledFunc {
+                name: "expr".into(),
+                params: (0..n).map(|k| (RegFile::F, k as Reg)).collect(),
+                param_types: vec![Type::Float; n],
+                ret: Type::Float,
+                reg_counts: [self.n_f as usize, self.n_i as usize, 0, 0],
+                instrs: self.instrs,
+            }],
+            externs: Vec::new(),
         }
     }
 
@@ -587,7 +603,16 @@ fn scalar_binary(op: BinOp, x: f64, y: f64) -> f64 {
         Ge => f64::from(u8::from(x >= y)),
         And => f64::from(u8::from(x != 0.0 && y != 0.0)),
         Or => f64::from(u8::from(x != 0.0 || y != 0.0)),
-        _ => binop_f64(op, x, y),
+        Add => x + y,
+        Sub => x - y,
+        Mul => x * y,
+        Div => x / y,
+        Pow => x.powf(y),
+        Mod => x % y,
+        Max => x.max(y),
+        Min => x.min(y),
+        Hypot => x.hypot(y),
+        Atan2 => x.atan2(y),
     }
 }
 

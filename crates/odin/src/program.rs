@@ -33,12 +33,11 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::array::DistArray;
-use crate::buffer::{binary_result_dtype, unary_result_dtype, DType};
+use crate::buffer::{binary_result_dtype, scalar_dtype, unary_result_dtype, DType};
 use crate::context::OdinContext;
 use crate::lazy::{powic_exponent, Lowerer};
 use crate::protocol::{ArrayMeta, BinOp, Cmd, Dist, KernelOut, ReduceKind, UnaryOp};
-use seamless::bytecode::{CompiledFunc, Instr, Reg, RegFile};
-use seamless::Type;
+use seamless::bytecode::{Reg, RegFile};
 
 /// Handle to a traced array statement (an assignment or redistribute);
 /// feed it back into expressions via [`PExpr::from`], or request it as a
@@ -485,14 +484,7 @@ impl<'x, 'c> Program<'x, 'c> {
     fn intern(&mut self, n: &PNode) -> usize {
         let (key, dtype, tref_child) = match n {
             PNode::Leaf(slot) => (NodeKey::Leaf(*slot), self.leaves[*slot].dtype(), None),
-            PNode::Scalar(v) => {
-                let dt = if v.fract() == 0.0 {
-                    DType::I64
-                } else {
-                    DType::F64
-                };
-                (NodeKey::Scalar(v.to_bits()), dt, None)
-            }
+            PNode::Scalar(v) => (NodeKey::Scalar(v.to_bits()), scalar_dtype(*v), None),
             PNode::Ref(s) => {
                 assert!(
                     !matches!(self.stmts[*s].kind, StmtKind::Reduce { .. }),
@@ -811,7 +803,6 @@ impl<'x, 'c> Program<'x, 'c> {
                         scalars.push(scalar_vals[&d]);
                     }
                     let kernel = ctx.register_kernel_program(lg.program.clone());
-                    let template = input_ids[0];
                     let mut outs: Vec<KernelOut> = Vec::with_capacity(lg.outs.len());
                     let mut reduce_stmts: Vec<usize> = Vec::new();
                     for &(s, reg) in &lg.outs {
@@ -838,7 +829,6 @@ impl<'x, 'c> Program<'x, 'c> {
                     }
                     let cmd = Cmd::EvalKernelMulti {
                         kernel,
-                        template,
                         inputs: input_ids,
                         scalars,
                         outs,
@@ -979,20 +969,8 @@ impl<'x, 'c> Program<'x, 'c> {
         }
         assert!(!outs.is_empty(), "fused group produced nothing observable");
         let ret = outs.last().expect("non-empty").1;
-        lw.instrs.push(Instr::Ret(Some((RegFile::F, ret))));
-        let f = CompiledFunc {
-            name: "expr".into(),
-            params: (0..n_params).map(|k| (RegFile::F, k as Reg)).collect(),
-            param_types: vec![Type::Float; n_params],
-            ret: Type::Float,
-            reg_counts: [lw.n_f as usize, lw.n_i as usize, 0, 0],
-            instrs: lw.instrs,
-        };
         LoweredGroup {
-            program: seamless::bytecode::Program {
-                funcs: vec![f],
-                externs: Vec::new(),
-            },
+            program: lw.finish(ret),
             array_inputs,
             scalar_inputs,
             outs,

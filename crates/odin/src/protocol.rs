@@ -278,40 +278,6 @@ pub enum Cmd {
         /// This worker's segment (each worker receives its own copy).
         data: Buffer,
     },
-    /// `out = op(a)` elementwise.
-    Unary {
-        /// Output id.
-        out: u64,
-        /// Input id.
-        a: u64,
-        /// Operation.
-        op: UnaryOp,
-    },
-    /// `out = a op b` elementwise (operands must be conformable — the
-    /// master inserts redistributions beforehand when they are not).
-    Binary {
-        /// Output id.
-        out: u64,
-        /// Left input id.
-        a: u64,
-        /// Right input id.
-        b: u64,
-        /// Operation.
-        op: BinOp,
-    },
-    /// `out = a op scalar` (or `scalar op a`).
-    BinaryScalar {
-        /// Output id.
-        out: u64,
-        /// Array input id.
-        a: u64,
-        /// Broadcast scalar.
-        scalar: f64,
-        /// Operation.
-        op: BinOp,
-        /// Whether the scalar is the left operand.
-        scalar_left: bool,
-    },
     /// `out = a.astype(dtype)`.
     AsType {
         /// Output id.
@@ -442,9 +408,8 @@ pub enum Cmd {
     EvalKernelMulti {
         /// Registered kernel id.
         kernel: u64,
-        /// Template array id (defines the shared output meta).
-        template: u64,
-        /// Input array ids, in kernel array-parameter order.
+        /// Input array ids, in kernel array-parameter order; the first
+        /// defines the outputs' geometry.
         inputs: Vec<u64>,
         /// Scalar parameter values (resolved reduction results), in
         /// kernel scalar-parameter order after the array parameters.
@@ -685,33 +650,6 @@ impl Wire for Cmd {
                 meta.encode(buf);
                 data.encode(buf);
             }
-            Cmd::Unary { out, a, op } => {
-                buf.push(2);
-                out.encode(buf);
-                a.encode(buf);
-                op.encode(buf);
-            }
-            Cmd::Binary { out, a, b, op } => {
-                buf.push(3);
-                out.encode(buf);
-                a.encode(buf);
-                b.encode(buf);
-                op.encode(buf);
-            }
-            Cmd::BinaryScalar {
-                out,
-                a,
-                scalar,
-                op,
-                scalar_left,
-            } => {
-                buf.push(4);
-                out.encode(buf);
-                a.encode(buf);
-                scalar.encode(buf);
-                op.encode(buf);
-                scalar_left.encode(buf);
-            }
             Cmd::AsType { out, a, dtype } => {
                 buf.push(5);
                 out.encode(buf);
@@ -794,7 +732,6 @@ impl Wire for Cmd {
             }
             Cmd::EvalKernelMulti {
                 kernel,
-                template,
                 inputs,
                 scalars,
                 outs,
@@ -803,7 +740,6 @@ impl Wire for Cmd {
             } => {
                 buf.push(22);
                 kernel.encode(buf);
-                template.encode(buf);
                 inputs.encode(buf);
                 scalars.encode(buf);
                 outs.encode(buf);
@@ -824,24 +760,6 @@ impl Wire for Cmd {
                 id: u64::decode(cur)?,
                 meta: ArrayMeta::decode(cur)?,
                 data: Buffer::decode(cur)?,
-            }),
-            2 => Ok(Cmd::Unary {
-                out: u64::decode(cur)?,
-                a: u64::decode(cur)?,
-                op: UnaryOp::decode(cur)?,
-            }),
-            3 => Ok(Cmd::Binary {
-                out: u64::decode(cur)?,
-                a: u64::decode(cur)?,
-                b: u64::decode(cur)?,
-                op: BinOp::decode(cur)?,
-            }),
-            4 => Ok(Cmd::BinaryScalar {
-                out: u64::decode(cur)?,
-                a: u64::decode(cur)?,
-                scalar: f64::decode(cur)?,
-                op: BinOp::decode(cur)?,
-                scalar_left: bool::decode(cur)?,
             }),
             5 => Ok(Cmd::AsType {
                 out: u64::decode(cur)?,
@@ -908,7 +826,6 @@ impl Wire for Cmd {
             }),
             22 => Ok(Cmd::EvalKernelMulti {
                 kernel: u64::decode(cur)?,
-                template: u64::decode(cur)?,
                 inputs: Vec::decode(cur)?,
                 scalars: Vec::decode(cur)?,
                 outs: Vec::decode(cur)?,
@@ -974,24 +891,6 @@ mod tests {
                     stop: 1.0,
                 },
             },
-            Cmd::Unary {
-                out: 8,
-                a: 7,
-                op: UnaryOp::Sqrt,
-            },
-            Cmd::Binary {
-                out: 9,
-                a: 7,
-                b: 8,
-                op: BinOp::Hypot,
-            },
-            Cmd::BinaryScalar {
-                out: 10,
-                a: 9,
-                scalar: 2.5,
-                op: BinOp::Pow,
-                scalar_left: false,
-            },
             Cmd::Redistribute {
                 out: 11,
                 a: 10,
@@ -1049,18 +948,26 @@ mod tests {
     #[test]
     fn control_commands_are_small() {
         // The paper's claim: control messages are "at most tens of bytes".
+        // Eager ufuncs are one-output kernel launches: unary (one input),
+        // array-scalar (one input, one scalar) and binary (two inputs).
+        let eager = |inputs: Vec<u64>, scalars: Vec<f64>| {
+            encode_to_vec(&Cmd::EvalKernelMulti {
+                kernel: u64::MAX,
+                inputs,
+                scalars,
+                outs: vec![KernelOut::Array {
+                    id: u64::MAX - 1,
+                    dtype: DType::F64,
+                    reg: (RegFile::F, u16::MAX),
+                }],
+                dtype: DType::F64,
+                native: false,
+            })
+        };
         let ops = vec![
-            encode_to_vec(&Cmd::Unary {
-                out: u64::MAX,
-                a: u64::MAX - 1,
-                op: UnaryOp::Sqrt,
-            }),
-            encode_to_vec(&Cmd::Binary {
-                out: 1,
-                a: 2,
-                b: 3,
-                op: BinOp::Add,
-            }),
+            eager(vec![u64::MAX - 2], Vec::new()),
+            eager(vec![u64::MAX - 2], vec![2.5]),
+            eager(vec![u64::MAX - 2, u64::MAX - 3], Vec::new()),
             encode_to_vec(&Cmd::Reduce {
                 a: 1,
                 kind: ReduceKind::Sum,
@@ -1107,7 +1014,6 @@ mod tests {
         for out in out_variants {
             let invoke = encode_to_vec(&Cmd::EvalKernelMulti {
                 kernel: u64::MAX - 1,
-                template: u64::MAX - 2,
                 inputs: vec![1, 2, 3],
                 scalars: Vec::new(),
                 outs: vec![out],
@@ -1124,10 +1030,11 @@ mod tests {
 
     #[test]
     fn retired_kernel_command_tags_are_decode_errors() {
-        // Tags 8 (the interpreted RPN program) and 21 (the single-output
-        // kernel invoke) are retired: a stale peer's bytes must surface
-        // as a typed decode error, never a panic or a misparse.
-        for tag in [8u8, 21] {
+        // Tags 2-4 (the eager unary/binary/array-scalar ufuncs), 8 (the
+        // interpreted RPN program) and 21 (the single-output kernel
+        // invoke) are retired: a stale peer's bytes must surface as a
+        // typed decode error, never a panic or a misparse.
+        for tag in [2u8, 3, 4, 8, 21] {
             let mut bytes = vec![tag];
             bytes.extend_from_slice(&[0u8; 32]);
             match decode_from_slice::<Cmd>(&bytes) {
@@ -1143,7 +1050,6 @@ mod tests {
         // plus reduction tails out of one kernel run, still control-sized.
         let cmd = Cmd::EvalKernelMulti {
             kernel: 7,
-            template: u64::MAX - 3,
             inputs: vec![10, 11, 12],
             scalars: vec![0.5, -3.25],
             outs: vec![

@@ -208,6 +208,66 @@ fn recover_replays_registered_kernels_into_the_new_pool() {
 }
 
 #[test]
+fn eager_scalar_ops_register_one_kernel_that_survives_recover() {
+    let _g = stats_read();
+    // An eager `x * s` carries `s` as a launch parameter, so fifty distinct
+    // scalars register ONE kernel. After a kill, checkpoint and recover(),
+    // the same ops rerun bitwise on the respawned pool, with no new
+    // registration: recover() replayed the eager kernel with the rest.
+    let ctx = OdinContext::new(OdinConfig {
+        n_workers: 3,
+        fault: FaultPlan {
+            seed: fault_seed(),
+            kill_rank: Some(1),
+            kill_after_ops: 200, // past the ~150 commands of the baseline run
+            ..FaultPlan::none()
+        },
+        stall_timeout: Some(Duration::from_secs(5)),
+        reply_timeout: Some(Duration::from_secs(5)),
+        ..Default::default()
+    });
+    let x = ctx.linspace(-3.0, 3.0, 97);
+    let scalars: Vec<f64> = (0..50).map(|k| 0.25 + 0.5 * k as f64).collect();
+    // (bits of every result, control messages the 50 ops issued)
+    let run = || {
+        ctx.reset_stats();
+        let outs: Vec<_> = scalars.iter().map(|&s| &x * s).collect();
+        let ctrl = ctx.stats().ctrl_msgs;
+        let got: Vec<Vec<u64>> = outs.iter().map(|o| bits(&o.to_vec())).collect();
+        (got, ctrl)
+    };
+    let (baseline, ctrl) = run();
+    // 50 launches plus one RegisterKernel, each broadcast to 3 workers
+    assert_eq!(ctrl, 51 * 3, "distinct scalars must not add kernels");
+    let ck = ctx.checkpoint(&[&x]);
+
+    let mut died = false;
+    for _ in 0..200 {
+        match ctx.try_barrier() {
+            Ok(()) => {}
+            Err(OdinError::WorkerDead { worker, .. }) => {
+                assert_eq!(worker, 1);
+                died = true;
+                break;
+            }
+            Err(other) => panic!("unexpected error while burning ops: {other:?}"),
+        }
+    }
+    assert!(
+        died,
+        "fault plan never killed rank 1 (seed {})",
+        fault_seed()
+    );
+    let report = ctx.recover(&ck);
+    assert_eq!(report.respawned, 3);
+    assert!(report.restored.contains(&x.id()));
+
+    let (again, ctrl) = run();
+    assert_eq!(ctrl, 50 * 3, "recovered pool registered a kernel again");
+    assert_eq!(again, baseline, "recovered pool changed an eager result");
+}
+
+#[test]
 fn a_kernel_registers_once_and_invokes_stay_small() {
     let _g = stats_read();
     // Integration-level check of the wire contract: after the first use,
